@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.stats import chi2_contingency
 
 from .residues import Modulus, SeededRng
 from .simnet import AdversarySpec, AdversaryView
@@ -165,7 +164,11 @@ def enumerate_mask_distribution(t: Topology, p, budget: int = DEFAULT_BUDGET) ->
 def check_mask_uniformity(t: Topology, p, budget: int = DEFAULT_BUDGET) -> AuditVerdict:
     """Masks must cover the zero-sum hyperplane uniformly (connected graphs)."""
     pv = _as_modulus_value(p)
-    hist = enumerate_mask_distribution(t, pv, budget)
+    return _mask_uniformity_verdict(t, pv, enumerate_mask_distribution(t, pv, budget))
+
+
+def _mask_uniformity_verdict(t: Topology, pv: int, hist: Histogram) -> AuditVerdict:
+    # the verdict of check_mask_uniformity from an already enumerated histogram
     support_ok = all(sum(a) % pv == 0 for a in hist.counts)
     expected_support = pv ** (t.n - 1)
     expected_count = pv ** (len(t.edges) - t.n + 1) if len(hist.counts) == expected_support else None
@@ -422,6 +425,14 @@ def _sample_view_keys(
             eff[j - 1] = (eff[j - 1] - b[k]) % p
         keys.append(tuple(eff) + tuple(b[k] for k in coalition_edge_idx))
     return keys
+
+
+def chi2_contingency(*args, **kwargs):
+    """`scipy.stats.chi2_contingency`, imported on first call: scipy.stats is
+    most of the package's import time and memory, and only sampled audits use it."""
+    from scipy.stats import chi2_contingency as scipy_chi2_contingency
+
+    return scipy_chi2_contingency(*args, **kwargs)
 
 
 def _two_sample_chi_square(bins_a: Mapping, bins_b: Mapping) -> tuple[float, float]:

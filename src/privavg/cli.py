@@ -17,9 +17,9 @@ from pathlib import Path
 from typing import Optional
 
 from .audit import (
+    _mask_uniformity_verdict,
     check_effective_input_uniformity,
     check_group_privacy,
-    check_mask_uniformity,
     check_view_indistinguishability,
     enumerate_mask_distribution,
     histogram_csv,
@@ -324,8 +324,9 @@ def _do_audit(cfg: ExperimentConfig) -> tuple[int, str, dict[str, str]]:
     t = cfg.topology
     files: dict[str, str] = {}
     if claim == "mask-uniformity":
-        verdict = check_mask_uniformity(t, p, cfg.budget)
-        files["histogram.csv"] = histogram_csv(enumerate_mask_distribution(t, p, cfg.budget))
+        hist = enumerate_mask_distribution(t, p, cfg.budget)
+        verdict = _mask_uniformity_verdict(t, p, hist)
+        files["histogram.csv"] = histogram_csv(hist)
     elif claim == "input-uniformity":
         s = _require(cfg.inputs, "[inputs] values")
         verdict = check_effective_input_uniformity(t, p, s, cfg.budget)

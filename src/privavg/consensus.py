@@ -7,6 +7,7 @@ final step strips the modulus and divides by the agent count exactly.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Union
@@ -19,6 +20,7 @@ __all__ = [
     "ConsensusAlgo",
     "ConsensusResult",
     "ConvergenceError",
+    "InvariantError",
     "RoundingError",
     "finalize",
     "flood_sum",
@@ -29,7 +31,7 @@ __all__ = [
 Number = Union[int, Fraction]
 
 
-class ConvergenceError(RuntimeError):
+class ConvergenceError(ArithmeticError):
     """Gossip ran out of rounds; carries the partial values for post-mortems."""
 
     def __init__(self, message: str, values: dict[int, Fraction], rounds: int):
@@ -40,6 +42,12 @@ class ConvergenceError(RuntimeError):
 
 class RoundingError(ArithmeticError):
     """A consensus estimate too far from any integer to trust."""
+
+
+class InvariantError(ArithmeticError):
+    """An exactness invariant of a run failed: a lost sum, a missing flood
+    value, agents disagreeing. Raised instead of `assert`, which `python -O`
+    strips."""
 
 
 @dataclass(frozen=True)
@@ -118,7 +126,8 @@ def flood_sum(t: Topology, values: Mapping[int, int]) -> ConsensusResult:
                     next_wave.append((receiver, nbr, origin, value))
         messages += len(next_wave)
         wave = next_wave
-    assert all(len(known[i]) == t.n for i in t.vertices)
+    if any(len(known[i]) != t.n for i in t.vertices):
+        raise InvariantError("flooding ended before every agent heard every origin")
     total = sum(values[i] for i in t.vertices)
     return ConsensusResult(
         per_agent={i: Fraction(total) for i in t.vertices}, rounds=rounds, messages=messages
@@ -135,38 +144,56 @@ def gossip_avg(
     """Randomized pairwise-mean gossip on exact rationals.
 
     One uniformly random edge activates per round and its endpoints move to
-    their mean; the pair sum is asserted unchanged every time, so the global
-    sum is conserved bit-exactly. Stops once max - min is within twice the
-    tolerance; exceeding the round budget raises with the partial state
-    attached.
+    their mean. Values are held as integer numerators over one shared
+    denominator, at first the lcm of the input denominators; the denominator
+    and every numerator double only when a pair sum is odd, so a round is
+    integer arithmetic and the global sum is checked unchanged after every one.
+    `Fraction`s are built only for what callers see (the spread trace, the
+    mean handed to `on_exchange`, the results), and they equal those of
+    pairwise `Fraction` means drawn with the same edge picks. Stops once
+    max - min is within twice the tolerance; exceeding the round budget
+    raises with the partial state attached.
     """
     _check_values(t, values)
     _require_connected(t, "gossip")
-    vals = {i: Fraction(values[i]) for i in t.vertices}
+    start = {i: Fraction(values[i]) for i in t.vertices}
+    den = math.lcm(*(v.denominator for v in start.values()))
+    nums = {i: v.numerator * (den // v.denominator) for i, v in start.items()}
+    total = sum(nums.values())
     budget = algo.rounds_budget(t)
     goal = 2 * algo.gossip_tolerance
+    edges = t.edges
     trace = []
     rounds = 0
-    while max(vals.values()) - min(vals.values()) > goal:
+    spread = max(nums.values()) - min(nums.values())
+    while spread * goal.denominator > goal.numerator * den:  # spread / den > goal
         if rounds >= budget:
             raise ConvergenceError(
-                f"gossip spread still {float(max(vals.values()) - min(vals.values())):.3g} "
-                f"after {rounds} rounds",
-                values=vals,
+                f"gossip spread still {float(Fraction(spread, den)):.3g} after {rounds} rounds",
+                values={i: Fraction(v, den) for i, v in nums.items()},
                 rounds=rounds,
             )
-        i, j = t.edges[rng.randint_below(len(t.edges))]
-        before = vals[i] + vals[j]
-        mean = before / 2
-        vals[i] = vals[j] = mean
-        assert vals[i] + vals[j] == before
+        i, j = edges[rng.randint_below(len(edges))]
+        pair = nums[i] + nums[j]
+        if pair & 1:
+            for k in nums:
+                nums[k] <<= 1
+            pair <<= 1
+            total <<= 1
+            den <<= 1
+        nums[i] = nums[j] = pair >> 1
+        if sum(nums.values()) != total:
+            raise InvariantError(f"gossip lost the sum in round {rounds + 1}")
         if on_exchange is not None:
-            on_exchange(i, j, mean)
+            on_exchange(i, j, Fraction(pair >> 1, den))
         rounds += 1
-        trace.append(max(vals.values()) - min(vals.values()))
-    assert sum(vals.values()) == sum(Fraction(values[i]) for i in t.vertices)
+        spread = max(nums.values()) - min(nums.values())
+        trace.append(Fraction(spread, den))
     return ConsensusResult(
-        per_agent=vals, rounds=rounds, messages=2 * rounds, spread_trace=tuple(trace)
+        per_agent={i: Fraction(v, den) for i, v in nums.items()},
+        rounds=rounds,
+        messages=2 * rounds,
+        spread_trace=tuple(trace),
     )
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
-from .consensus import ConsensusAlgo, finalize, gossip_avg
+from .consensus import ConsensusAlgo, InvariantError, finalize, gossip_avg
 from .masking import (
     AgentState,
     MaskShareMsg,
@@ -119,7 +119,8 @@ class RunReport:
     @property
     def average(self) -> Fraction:
         values = set(self.averages.values())
-        assert len(values) == 1, "agents disagree on the average"
+        if len(values) != 1:
+            raise InvariantError(f"agents disagree on the average: {sorted(values)}")
         return next(iter(values))
 
     def to_text(self) -> str:
@@ -206,21 +207,24 @@ class RunReport:
         view = None
         if saw_view:
             view = AdversaryView(view_inputs, view_eff, view_diff, tuple(transcript))
-        return cls(
-            seed=int(fields["seed"]),
-            schedule_seed=None if fields["schedule_seed"] == "-" else int(fields["schedule_seed"]),
-            config_hash=fields["config"],
-            n=int(fields["agents"]),
-            algo_variant=fields["algo"],
-            averages=averages,
-            phase1_messages=int(fields["phase1_messages"]),
-            phase2_messages=int(fields["phase2_messages"]),
-            ticks=int(fields["ticks"]),
-            adversary=adversary,
-            view=view,
-            events=tuple(events),
-            gossip_spread=tuple(spread),
-        )
+        try:
+            return cls(
+                seed=int(fields["seed"]),
+                schedule_seed=None if fields["schedule_seed"] == "-" else int(fields["schedule_seed"]),
+                config_hash=fields["config"],
+                n=int(fields["agents"]),
+                algo_variant=fields["algo"],
+                averages=averages,
+                phase1_messages=int(fields["phase1_messages"]),
+                phase2_messages=int(fields["phase2_messages"]),
+                ticks=int(fields["ticks"]),
+                adversary=adversary,
+                view=view,
+                events=tuple(events),
+                gossip_spread=tuple(spread),
+            )
+        except KeyError as exc:
+            raise ValueError(f"run report has no {exc.args[0]} line") from None
 
 
 def extract_view(report: RunReport) -> AdversaryView:
@@ -229,23 +233,18 @@ def extract_view(report: RunReport) -> AdversaryView:
     return report.view
 
 
-def delivery_schedule(rng: SeededRng, pending: list[SimEvent]) -> SimEvent:
-    """Pop the next delivery: uniformly random among the earliest-tick events.
+def delivery_schedule(rng: SeededRng, due: list[SimEvent]) -> SimEvent:
+    """Remove and return the next delivery, uniformly random among `due`.
 
-    `pending` is a heap ordered by (time, seq); the seq tiebreak makes the
-    candidate list deterministic so the random index is reproducible. A lone
-    candidate consumes no randomness.
+    `due` holds the events of the earliest pending tick in seq order; the
+    simulator keeps one such list per tick. Candidates and draws are those of
+    a scheduler that pops every earliest-tick event off one heap of all
+    pending events in (time, seq) order, which the tests keep as the
+    reference. A lone candidate consumes no randomness.
     """
-    if not pending:
+    if not due:
         raise ValueError("no pending events")
-    lowest = pending[0].time
-    candidates = []
-    while pending and pending[0].time == lowest:
-        candidates.append(heapq.heappop(pending))
-    chosen = candidates.pop(rng.randint_below(len(candidates)))
-    for ev in candidates:
-        heapq.heappush(pending, ev)
-    return chosen
+    return due.pop(rng.randint_below(len(due)))
 
 
 def _scenario_hash(
@@ -318,7 +317,10 @@ def simulate(
     sched = SeededRng(seed if schedule_seed is None else schedule_seed, 0)
     everyone = set(t.vertices)
 
-    pending: list[SimEvent] = []
+    # per-tick delivery lists in seq order, plus a heap of their ticks; delays
+    # are at least one tick, so nothing joins the tick being drained
+    due_at: dict[int, list[SimEvent]] = {}
+    due_ticks: list[int] = []
     seq = 0
     counts = {"share": 0, "done": 0, "value": 0}
     events: list[str] = []
@@ -327,7 +329,12 @@ def simulate(
 
     def send(now: int, kind: str, msg: Payload) -> None:
         nonlocal seq
-        heapq.heappush(pending, SimEvent(now + sched.randrange(1, max_delay), seq, kind, msg))
+        at = now + sched.randrange(1, max_delay)
+        due = due_at.get(at)
+        if due is None:
+            due = due_at[at] = []
+            heapq.heappush(due_ticks, at)
+        due.append(SimEvent(at, seq, kind, msg))
         seq += 1
         counts[kind] += 1
 
@@ -359,9 +366,13 @@ def simulate(
             mark_done(i, i, None, 0)
 
     ticks = 0
-    while pending:
-        ev = delivery_schedule(sched, pending)
-        ticks = max(ticks, ev.time)
+    while due_ticks:
+        ticks = due_ticks[0]
+        due = due_at[ticks]
+        ev = delivery_schedule(sched, due)
+        if not due:
+            heapq.heappop(due_ticks)
+            del due_at[ticks]
         msg = ev.msg
         if ev.kind == "share":
             assert isinstance(msg, MaskShareMsg)
@@ -386,11 +397,13 @@ def simulate(
         if msg.receiver in members:
             transcript.append(line)
 
-    assert phase_complete(states), "schedule deadlock: phase 1 unfinished on a connected graph"
+    if not phase_complete(states):
+        raise InvariantError("schedule deadlock: phase 1 unfinished on a connected graph")
 
     spread_trace: tuple[Fraction, ...] = ()
     if algo.variant == "flood_sum":
-        assert all(len(flood_values[i]) == t.n for i in t.vertices)
+        if any(len(flood_values[i]) != t.n for i in t.vertices):
+            raise InvariantError("flooding ended before every agent heard every origin")
         per_agent = {i: Fraction(sum(flood_values[i].values())) for i in t.vertices}
         rounds_messages = counts["value"]
     else:
@@ -402,14 +415,15 @@ def simulate(
             if i in members or j in members:
                 exchange_log.append(f"{ticks} {len(exchange_log)} gossip {i} {j} {mean}")
 
-        res = gossip_avg(t, scaled, algo, grng, on_exchange=record_exchange)
+        res = gossip_avg(t, scaled, algo, grng, on_exchange=record_exchange if members else None)
         per_agent = res.per_agent
         spread_trace = res.spread_trace
         rounds_messages = res.messages
         transcript.extend(exchange_log)
 
     averages = {i: finalize(v, params) for i, v in per_agent.items()}
-    assert len(set(averages.values())) == 1
+    if len(set(averages.values())) != 1:
+        raise InvariantError(f"agents disagree on the average: {sorted(set(averages.values()))}")
 
     view = None
     if adversary is not None:

@@ -1,0 +1,225 @@
+"""Slow reference implementations that faster code replaced, kept as test oracles.
+
+`reference_delivery_schedule` is the pop-all-ties heap scheduler,
+`reference_gossip_avg` the pairwise-mean gossip loop on `Fraction`s, and
+`reference_simulate` the event loop that drives both over one heap of every
+pending event. The fast paths in `privavg` must reproduce them byte for byte.
+"""
+from __future__ import annotations
+
+import heapq
+from fractions import Fraction
+from typing import Callable, Mapping, Optional, Sequence
+
+from privavg.consensus import ConsensusAlgo, ConsensusResult, ConvergenceError, finalize
+from privavg.masking import (
+    MaskShareMsg,
+    PhaseDoneMsg,
+    ProtocolParams,
+    build_states,
+    edge_differences,
+    init_shares,
+    phase_complete,
+    receive_share,
+)
+from privavg.residues import SeededRng
+from privavg.simnet import (
+    AdversarySpec,
+    AdversaryView,
+    RunReport,
+    SimEvent,
+    ValueMsg,
+    _scenario_hash,
+)
+from privavg.topology import Topology, connected_components
+
+
+def reference_delivery_schedule(rng: SeededRng, pending: list[SimEvent]) -> SimEvent:
+    """Pop every event of the earliest tick off the heap, draw one, push the rest back."""
+    if not pending:
+        raise ValueError("no pending events")
+    lowest = pending[0].time
+    candidates = []
+    while pending and pending[0].time == lowest:
+        candidates.append(heapq.heappop(pending))
+    chosen = candidates.pop(rng.randint_below(len(candidates)))
+    for ev in candidates:
+        heapq.heappush(pending, ev)
+    return chosen
+
+
+def reference_gossip_avg(
+    t: Topology,
+    values: Mapping[int, object],
+    algo: ConsensusAlgo,
+    rng: SeededRng,
+    on_exchange: Optional[Callable[[int, int, Fraction], None]] = None,
+) -> ConsensusResult:
+    """Pairwise-mean gossip with every value an exact `Fraction`."""
+    vals = {i: Fraction(values[i]) for i in t.vertices}
+    budget = algo.rounds_budget(t)
+    goal = 2 * algo.gossip_tolerance
+    trace = []
+    rounds = 0
+    while max(vals.values()) - min(vals.values()) > goal:
+        if rounds >= budget:
+            raise ConvergenceError(
+                f"gossip spread still {float(max(vals.values()) - min(vals.values())):.3g} "
+                f"after {rounds} rounds",
+                values=vals,
+                rounds=rounds,
+            )
+        i, j = t.edges[rng.randint_below(len(t.edges))]
+        before = vals[i] + vals[j]
+        mean = before / 2
+        vals[i] = vals[j] = mean
+        assert vals[i] + vals[j] == before
+        if on_exchange is not None:
+            on_exchange(i, j, mean)
+        rounds += 1
+        trace.append(max(vals.values()) - min(vals.values()))
+    assert sum(vals.values()) == sum(Fraction(values[i]) for i in t.vertices)
+    return ConsensusResult(
+        per_agent=vals, rounds=rounds, messages=2 * rounds, spread_trace=tuple(trace)
+    )
+
+
+def reference_simulate(
+    t: Topology,
+    inputs: Sequence[int],
+    params: ProtocolParams,
+    algo: Optional[ConsensusAlgo] = None,
+    adversary: Optional[AdversarySpec] = None,
+    seed: int = 0,
+    max_delay: int = 4,
+    schedule_seed: Optional[int] = None,
+    share_override: Optional[Mapping[tuple[int, int], int]] = None,
+) -> RunReport:
+    """Both phases over one heap of all pending events, with the reference gossip."""
+    algo = algo or ConsensusAlgo()
+    assert len(connected_components(t)) == 1
+    members: frozenset[int] = adversary.members if adversary is not None else frozenset()
+
+    states = build_states(t, inputs, params)
+    share_rngs = {i: SeededRng(seed, i) for i in t.vertices}
+    sched = SeededRng(seed if schedule_seed is None else schedule_seed, 0)
+    everyone = set(t.vertices)
+
+    pending: list[SimEvent] = []
+    seq = 0
+    counts = {"share": 0, "done": 0, "value": 0}
+    events: list[str] = []
+    transcript: list[str] = []
+    flood_values: dict[int, dict[int, int]] = {i: {} for i in t.vertices}
+
+    def send(now: int, kind: str, msg) -> None:
+        nonlocal seq
+        heapq.heappush(pending, SimEvent(now + sched.randrange(1, max_delay), seq, kind, msg))
+        seq += 1
+        counts[kind] += 1
+
+    def start_phase2(i: int, now: int) -> None:
+        if algo.variant != "flood_sum":
+            return
+        value = int(states[i].effective_input)
+        flood_values[i][i] = value
+        for nbr in sorted(t.neighbors(i)):
+            send(now, "value", ValueMsg(origin=i, value=value, sender=i, receiver=nbr))
+
+    def mark_done(agent: int, origin: int, came_from: Optional[int], now: int) -> None:
+        st = states[agent]
+        if origin in st.completed_peers:
+            return
+        st.completed_peers.add(origin)
+        for nbr in sorted(st.neighbors):
+            if nbr != came_from:
+                send(now, "done", PhaseDoneMsg(origin=origin, sender=agent, receiver=nbr))
+        if st.completed_peers == everyone:
+            start_phase2(agent, now)
+
+    for i in sorted(t.vertices):
+        for msg in init_shares(states[i], share_rngs[i], share_override):
+            send(0, "share", msg)
+    for i in sorted(t.vertices):
+        if states[i].mask is not None:
+            mark_done(i, i, None, 0)
+
+    ticks = 0
+    while pending:
+        ev = reference_delivery_schedule(sched, pending)
+        ticks = max(ticks, ev.time)
+        msg = ev.msg
+        if ev.kind == "share":
+            assert isinstance(msg, MaskShareMsg)
+            line = f"{ev.time} {ev.seq} share {msg.sender} {msg.receiver} {int(msg.share)}"
+            if receive_share(states[msg.receiver], msg) is not None:
+                mark_done(msg.receiver, msg.receiver, None, ev.time)
+        elif ev.kind == "done":
+            line = f"{ev.time} {ev.seq} done {msg.sender} {msg.receiver} {msg.origin}"
+            mark_done(msg.receiver, msg.origin, msg.sender, ev.time)
+        else:
+            line = f"{ev.time} {ev.seq} value {msg.sender} {msg.receiver} {msg.origin}:{msg.value}"
+            box = flood_values[msg.receiver]
+            if msg.origin not in box:
+                box[msg.origin] = msg.value
+                for nbr in sorted(t.neighbors(msg.receiver)):
+                    if nbr != msg.sender:
+                        send(ev.time, "value", ValueMsg(msg.origin, msg.value, msg.receiver, nbr))
+        events.append(line)
+        if msg.receiver in members:
+            transcript.append(line)
+
+    assert phase_complete(states)
+
+    spread_trace: tuple[Fraction, ...] = ()
+    if algo.variant == "flood_sum":
+        assert all(len(flood_values[i]) == t.n for i in t.vertices)
+        per_agent = {i: Fraction(sum(flood_values[i].values())) for i in t.vertices}
+        rounds_messages = counts["value"]
+    else:
+        grng = SeededRng(seed, t.n + 1)
+        scaled = {i: t.n * int(states[i].effective_input) for i in t.vertices}
+        exchange_log: list[str] = []
+
+        def record_exchange(i: int, j: int, mean: Fraction) -> None:
+            if i in members or j in members:
+                exchange_log.append(f"{ticks} {len(exchange_log)} gossip {i} {j} {mean}")
+
+        res = reference_gossip_avg(t, scaled, algo, grng, on_exchange=record_exchange)
+        per_agent = res.per_agent
+        spread_trace = res.spread_trace
+        rounds_messages = res.messages
+        transcript.extend(exchange_log)
+
+    averages = {i: finalize(v, params) for i, v in per_agent.items()}
+    assert len(set(averages.values())) == 1
+
+    view = None
+    if adversary is not None:
+        diffs = {
+            d.edge: int(d.value)
+            for d in edge_differences(states)
+            if d.edge[0] in members or d.edge[1] in members
+        }
+        view = AdversaryView(
+            adversary_inputs={i: int(inputs[i - 1]) for i in sorted(members)},
+            all_effective_inputs={i: int(states[i].effective_input) for i in t.vertices},
+            incident_differences=diffs,
+            transcript=tuple(transcript),
+        )
+
+    return RunReport(
+        seed=seed,
+        schedule_seed=schedule_seed,
+        config_hash=_scenario_hash(t, inputs, params, algo, adversary, max_delay, share_override),
+        n=t.n,
+        algo_variant=algo.variant,
+        averages=averages,
+        phase1_messages=counts["share"] + counts["done"],
+        phase2_messages=rounds_messages if algo.variant == "gossip_avg" else counts["value"],
+        ticks=ticks,
+        adversary=tuple(sorted(members)) if adversary is not None else None,
+        view=view,
+        events=tuple(events),
+        gossip_spread=spread_trace,
+    )

@@ -208,3 +208,15 @@ def test_sampled_claim_through_cli(tmp_path, capsys):
     )
     assert main(["audit", "--config", str(cfg)]) == 0
     assert "passed yes" in capsys.readouterr().out
+
+
+def test_gossip_out_of_rounds_exits_one_with_one_line(tmp_path, capsys):
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text(GOLDEN_CFG.replace("algo = flood", "algo = gossip\nmax_rounds = 3"))
+    assert main(["run", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: gossip spread still ")
+    assert err[0].endswith(" after 3 rounds")
