@@ -6,63 +6,27 @@ learning anything beyond that average. The package provides the protocol
 pieces (residue arithmetic, mask exchange, consensus), a deterministic event
 simulator with a passive-adversary recorder, and enumeration/statistical
 audits of the privacy claims.
+
+The names below are the public API, the list in the README; everything else
+is reachable through its module.
 """
 from .audit import (
     AuditVerdict,
     EnumerationBudgetError,
-    Histogram,
     check_effective_input_uniformity,
     check_group_privacy,
     check_mask_uniformity,
     check_view_indistinguishability,
     enumerate_mask_distribution,
-    enumerate_view_distribution,
-    flatten_view_key,
-    histogram_csv,
     sampled_view_test,
 )
-from .consensus import (
-    ConsensusAlgo,
-    ConsensusResult,
-    ConvergenceError,
-    InvariantError,
-    RoundingError,
-    finalize,
-    flood_sum,
-    gossip_avg,
-    run_protocol,
-)
-from .masking import (
-    AgentState,
-    EdgeDifference,
-    MaskShareMsg,
-    PhaseDoneMsg,
-    ProtocolError,
-    ProtocolParams,
-    build_states,
-    edge_differences,
-    exchange_shares,
-    init_shares,
-    phase_complete,
-    receive_share,
-)
-from .residues import Modulus, ModulusMismatchError, Residue, SeededRng, sum_mod, uniform_residue
-from .simnet import (
-    AdversarySpec,
-    AdversaryView,
-    RunReport,
-    SimEvent,
-    ValueMsg,
-    delivery_schedule,
-    extract_view,
-    simulate,
-)
+from .consensus import ConsensusAlgo, ConvergenceError, InvariantError, RoundingError
+from .masking import ProtocolError, ProtocolParams, build_states, edge_differences, exchange_shares
+from .residues import Modulus, ModulusMismatchError, Residue, SeededRng
+from .simnet import AdversarySpec, RunReport, simulate
 from .topology import (
-    IncidenceMatrix,
     Topology,
     connected_components,
-    format_topology_text,
-    incidence_matrix,
     incidence_rank_mod_p,
     is_vertex_cut,
     load_topology_text,
@@ -71,60 +35,34 @@ from .topology import (
 
 __all__ = [
     "AdversarySpec",
-    "AdversaryView",
-    "AgentState",
     "AuditVerdict",
     "ConsensusAlgo",
-    "ConsensusResult",
     "ConvergenceError",
-    "EdgeDifference",
     "EnumerationBudgetError",
-    "Histogram",
-    "IncidenceMatrix",
     "InvariantError",
-    "MaskShareMsg",
     "Modulus",
     "ModulusMismatchError",
-    "PhaseDoneMsg",
     "ProtocolError",
     "ProtocolParams",
     "Residue",
     "RoundingError",
     "RunReport",
     "SeededRng",
-    "SimEvent",
     "Topology",
-    "ValueMsg",
     "build_states",
     "check_effective_input_uniformity",
     "check_group_privacy",
     "check_mask_uniformity",
     "check_view_indistinguishability",
     "connected_components",
-    "delivery_schedule",
     "edge_differences",
     "enumerate_mask_distribution",
-    "enumerate_view_distribution",
     "exchange_shares",
-    "extract_view",
-    "finalize",
-    "flatten_view_key",
-    "flood_sum",
-    "format_topology_text",
-    "gossip_avg",
-    "histogram_csv",
-    "incidence_matrix",
     "incidence_rank_mod_p",
-    "init_shares",
     "is_vertex_cut",
     "load_topology_text",
-    "phase_complete",
-    "receive_share",
-    "run_protocol",
     "sampled_view_test",
     "simulate",
-    "sum_mod",
-    "uniform_residue",
     "vertex_connectivity",
 ]
 

@@ -10,13 +10,14 @@ negative controls (coalitions that cut the graph) must visibly leak there.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .residues import Modulus, SeededRng
-from .simnet import AdversarySpec, AdversaryView
+from .simnet import AdversarySpec
 from .topology import Topology, connected_components, incidence_matrix, is_vertex_cut
 
 __all__ = [
@@ -29,7 +30,6 @@ __all__ = [
     "check_view_indistinguishability",
     "enumerate_mask_distribution",
     "enumerate_view_distribution",
-    "flatten_view_key",
     "histogram_csv",
     "sampled_view_test",
 ]
@@ -54,12 +54,6 @@ class Histogram:
 
     def bump(self, outcome: tuple, by: int = 1) -> None:
         self.counts[outcome] = self.counts.get(outcome, 0) + by
-
-    def merge(self, other: "Histogram") -> "Histogram":
-        merged = Histogram(dict(self.counts))
-        for k, v in other.counts.items():
-            merged.bump(k, v)
-        return merged
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Histogram) and self.counts == other.counts
@@ -143,22 +137,50 @@ def _b_chunks(num_edges: int, p: int, total: int, chunk: int = 1 << 15) -> Itera
         yield digits
 
 
+def _view_rows(inc: np.ndarray, p: int, s: Sequence[int], cols: list[int], b: np.ndarray) -> np.ndarray:
+    """Coalition views, one row per row of edge differences `b`: the effective
+    inputs (s + b·Bᵀ) mod p, then the coalition's columns of b.
+
+    Entries stay below p·(|E|+1) in absolute value before the reduction, so
+    int64 holds them exactly below that bound; past it (p near 2^64) the rows
+    are Python ints."""
+    dtype = np.int64 if p * (inc.shape[1] + 1) < 2**63 else object
+    b = b.astype(dtype, copy=False)
+    eff = (np.array(s, dtype=dtype) + b @ inc.T.astype(dtype)) % p
+    return np.concatenate([eff, b[:, cols]], axis=1) if cols else eff
+
+
+def _row_tuples(rows: np.ndarray) -> Iterator[tuple[int, ...]]:
+    # Rows as tuples of Python ints, zipped from one list per column. One list
+    # per row (rows.tolist()) would hold up to 3·10^4 live lists at once; they
+    # outlive the young GC generations and set off full collections, each a
+    # walk over every object of the process. Tuples of ints get untracked.
+    return zip(*rows.T.tolist())
+
+
+def _enumerate_views(t: Topology, p: int, s: Sequence[int], cols: list[int], budget: int) -> Histogram:
+    # histogram of _view_rows over every edge-difference vector
+    total = _space_size(t, p, budget)
+    inc = incidence_matrix(t).matrix
+    hist = Histogram()
+    for block in _b_chunks(len(t.edges), p, total):
+        rows = _view_rows(inc, p, s, cols, block)
+        if rows.dtype == object:  # np.unique cannot sort rows of Python ints
+            uniq, cnt = rows, np.ones(len(rows), dtype=np.int64)
+        else:
+            uniq, cnt = np.unique(rows, axis=0, return_counts=True)
+        for row, c in zip(_row_tuples(uniq), cnt.tolist()):
+            hist.bump(row, c)
+    return hist
+
+
 def enumerate_mask_distribution(t: Topology, p, budget: int = DEFAULT_BUDGET) -> Histogram:
     """Exact histogram of mask vectors over every edge-difference assignment.
 
     Runs on disconnected graphs too: their support shrinks to the product of
     per-component zero-sum hyperplanes, which the rank audits rely on seeing.
     """
-    pv = _as_modulus_value(p)
-    total = _space_size(t, pv, budget)
-    inc = incidence_matrix(t).matrix.astype(np.int64)
-    hist = Histogram()
-    for block in _b_chunks(len(t.edges), pv, total):
-        masks = (block @ inc.T) % pv
-        uniq, cnt = np.unique(masks, axis=0, return_counts=True)
-        for row, c in zip(uniq, cnt):
-            hist.bump(tuple(int(x) for x in row), int(c))
-    return hist
+    return _enumerate_views(t, _as_modulus_value(p), (0,) * t.n, [], budget)
 
 
 def check_mask_uniformity(t: Topology, p, budget: int = DEFAULT_BUDGET) -> AuditVerdict:
@@ -222,16 +244,6 @@ def _coalition_edges(t: Topology, members: frozenset[int]) -> list[int]:
     return [k for k, (i, j) in enumerate(t.edges) if i in members or j in members]
 
 
-def flatten_view_key(view: AdversaryView, t: Topology) -> tuple[int, ...]:
-    """The view as one flat int tuple: all effective inputs, then incident
-    differences in canonical edge order. Matches the enumeration's binning."""
-    eff = tuple(view.all_effective_inputs[i] for i in sorted(view.all_effective_inputs))
-    diffs = tuple(
-        view.incident_differences[e] for e in t.edges if e in view.incident_differences
-    )
-    return eff + diffs
-
-
 def enumerate_view_distribution(
     t: Topology,
     p,
@@ -243,18 +255,7 @@ def enumerate_view_distribution(
     differences) induced by uniform edge differences, for a fixed input vector."""
     pv = _as_modulus_value(p)
     sv = _check_inputs(t, pv, s, "s")
-    total = _space_size(t, pv, budget)
-    inc = incidence_matrix(t).matrix.astype(np.int64)
-    cols = _coalition_edges(t, adversary.members)
-    base = np.array(sv, dtype=np.int64)
-    hist = Histogram()
-    for block in _b_chunks(len(t.edges), pv, total):
-        eff = (base + block @ inc.T) % pv
-        key_block = np.concatenate([eff, block[:, cols]], axis=1) if cols else eff
-        uniq, cnt = np.unique(key_block, axis=0, return_counts=True)
-        for row, c in zip(uniq, cnt):
-            hist.bump(tuple(int(x) for x in row), int(c))
-    return hist
+    return _enumerate_views(t, pv, sv, _coalition_edges(t, adversary.members), budget)
 
 
 def _require_pair_conditions(
@@ -408,23 +409,22 @@ def _sample_view_keys(
     rngs: Mapping[int, SeededRng],
     samples: int,
 ) -> list[tuple[int, ...]]:
-    # Mirrors the production draw order (each agent serves neighbors in
-    # ascending id order) without the protocol-bound validation, which audit
-    # scenarios may legitimately violate.
-    order = [(i, j) for i in t.vertices for j in sorted(t.neighbors(i))]
-    edges = t.edges
-    keys = []
-    for _ in range(samples):
-        shares = {}
-        for i, j in order:
-            shares[(i, j)] = rngs[i].randint_below(p)
-        b = [(shares[(j, i)] - shares[(i, j)]) % p for i, j in edges]
-        eff = list(s)
-        for k, (i, j) in enumerate(edges):
-            eff[i - 1] = (eff[i - 1] + b[k]) % p
-            eff[j - 1] = (eff[j - 1] - b[k]) % p
-        keys.append(tuple(eff) + tuple(b[k] for k in coalition_edge_idx))
-    return keys
+    # Each agent's stream yields `samples` rounds of one share per neighbor in
+    # ascending id order, the order init_shares draws in, without the
+    # protocol-bound validation, which audit scenarios may legitimately violate.
+    sent = {}
+    for i in t.vertices:
+        nbrs = sorted(t.neighbors(i))
+        block = rngs[i].randints_below(p, samples * len(nbrs)).reshape(samples, len(nbrs))
+        for c, j in enumerate(nbrs):
+            sent[(i, j)] = block[:, c]
+    b = np.empty((samples, len(t.edges)), dtype=np.uint64)
+    for k, (i, j) in enumerate(t.edges):
+        got, out = sent[(j, i)], sent[(i, j)]
+        b[:, k] = got - out  # wraps mod 2^64 where got < out; adding p unwraps
+        b[got < out, k] += np.uint64(p)
+    rows = _view_rows(incidence_matrix(t).matrix, p, s, coalition_edge_idx, b)
+    return list(_row_tuples(rows))
 
 
 def chi2_contingency(*args, **kwargs):
@@ -505,13 +505,7 @@ def sampled_view_test(
     }
 
     if space_estimate <= _FULL_BIN_LIMIT:
-        bins = []
-        for keys in keys_per_vector:
-            h = Histogram()
-            for k in keys:
-                h.bump(k)
-            bins.append(h.counts)
-        stat, pvalue = _two_sample_chi_square(bins[0], bins[1])
+        stat, pvalue = _two_sample_chi_square(*map(Counter, keys_per_vector))
         details["binning"] = "full_view"
         adjusted = pvalue
     else:
@@ -522,13 +516,10 @@ def sampled_view_test(
         for m in range(1 + len(cols)):
             bins = []
             for keys in keys_per_vector:
-                h = Histogram()
-                for k in keys:
-                    if m == 0:
-                        h.bump((sum(k[i - 1] for i in honest) % pv,))
-                    else:
-                        h.bump((k[n_eff + m - 1],))
-                bins.append(h.counts)
+                if m == 0:
+                    bins.append(Counter(sum(k[i - 1] for i in honest) % pv for k in keys))
+                else:
+                    bins.append(Counter(k[n_eff + m - 1] for k in keys))
             stat_m, p_m = _two_sample_chi_square(bins[0], bins[1])
             marginal_stats.append(stat_m)
             marginal_ps.append(p_m)

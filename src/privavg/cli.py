@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import decimal
+import functools
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -29,7 +30,14 @@ from .consensus import ConsensusAlgo
 from .masking import ProtocolParams
 from .residues import Modulus
 from .simnet import AdversarySpec, simulate
-from .topology import Topology, connected_components, is_vertex_cut, load_topology_text, vertex_connectivity
+from .topology import (
+    Topology,
+    _format_components,
+    connected_components,
+    is_vertex_cut,
+    load_topology_text,
+    vertex_connectivity,
+)
 
 __all__ = [
     "ConfigError",
@@ -351,10 +359,6 @@ def _do_audit(cfg: ExperimentConfig) -> tuple[int, str, dict[str, str]]:
     return (0 if verdict.passed else 1), verdict.to_text(), files
 
 
-def _format_components(comps) -> str:
-    return " ".join("{" + ",".join(str(v) for v in sorted(c)) + "}" for c in comps)
-
-
 def _do_graph_check(cfg: ExperimentConfig) -> tuple[int, str, dict[str, str]]:
     t = cfg.topology
     whole = connected_components(t)
@@ -386,6 +390,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[int, str, dict[str, str]]:
     return _do_graph_check(cfg)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="privavg",

@@ -1,9 +1,10 @@
 """Phase-2 agreement on the masked sum, exact to the last bit.
 
 Two interchangeable routes: flooding the effective inputs (every agent learns
-the exact multiset and sums it) or randomized pairwise-mean gossip run on
-exact rationals so that the conserved quantity never drifts. Either way the
-final step strips the modulus and divides by the agent count exactly.
+the exact multiset and sums it; the event simulator in `simnet` runs it) or
+randomized pairwise-mean gossip run on exact rationals so that the conserved
+quantity never drifts. Either way the final step strips the modulus and
+divides by the agent count exactly.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from typing import Callable, Mapping, Optional, Union
 
 from .masking import ProtocolParams
 from .residues import SeededRng
-from .topology import Topology, connected_components
+from .topology import Topology, _require_connected
 
 __all__ = [
     "ConsensusAlgo",
@@ -23,9 +24,7 @@ __all__ = [
     "InvariantError",
     "RoundingError",
     "finalize",
-    "flood_sum",
     "gossip_avg",
-    "run_protocol",
 ]
 
 Number = Union[int, Fraction]
@@ -56,7 +55,8 @@ class ConsensusAlgo:
 
     max_rounds of None means 50 * n^2 * |E|, fixed when a run starts. For the
     final rounding step to be safe the gossip tolerance must stay below
-    1/(2n^2); the default leaves orders of magnitude of margin.
+    1/(2n^2), which `simulate` checks once n is known; the default leaves
+    orders of magnitude of margin.
     """
 
     variant: str = "flood_sum"
@@ -87,51 +87,9 @@ class ConsensusResult:
     spread_trace: tuple[Fraction, ...] = field(default=())
 
 
-def _require_connected(t: Topology, what: str) -> None:
-    comps = connected_components(t)
-    if len(comps) > 1:
-        pretty = " ".join("{" + ",".join(map(str, sorted(c))) + "}" for c in comps)
-        raise ValueError(f"{what} needs a connected graph; components: {pretty}")
-
-
 def _check_values(t: Topology, values: Mapping[int, Number]) -> None:
     if set(values) != set(t.vertices):
         raise ValueError("values must be keyed by every vertex exactly once")
-
-
-def flood_sum(t: Topology, values: Mapping[int, int]) -> ConsensusResult:
-    """Flood (origin, value) pairs until everyone holds the whole multiset.
-
-    Each agent forwards each origin at most once, so the message count is
-    bounded and deterministic. Per-agent result is the plain integer sum,
-    deliberately not reduced by the modulus.
-    """
-    _check_values(t, values)
-    _require_connected(t, "flooding")
-    known: dict[int, dict[int, int]] = {i: {i: int(values[i])} for i in t.vertices}
-    wave = [
-        (i, nbr, i, int(values[i])) for i in t.vertices for nbr in sorted(t.neighbors(i))
-    ]
-    messages = len(wave)
-    rounds = 0
-    while wave:
-        rounds += 1
-        next_wave = []
-        for sender, receiver, origin, value in wave:
-            if origin in known[receiver]:
-                continue
-            known[receiver][origin] = value
-            for nbr in sorted(t.neighbors(receiver)):
-                if nbr != sender:
-                    next_wave.append((receiver, nbr, origin, value))
-        messages += len(next_wave)
-        wave = next_wave
-    if any(len(known[i]) != t.n for i in t.vertices):
-        raise InvariantError("flooding ended before every agent heard every origin")
-    total = sum(values[i] for i in t.vertices)
-    return ConsensusResult(
-        per_agent={i: Fraction(total) for i in t.vertices}, rounds=rounds, messages=messages
-    )
 
 
 def gossip_avg(
@@ -213,23 +171,3 @@ def finalize(value: Number, params: ProtocolParams) -> Fraction:
         )
     return Fraction(nearest % params.p.value, params.n)
 
-
-def run_protocol(
-    t: Topology,
-    inputs,
-    params: ProtocolParams,
-    algo: Optional[ConsensusAlgo] = None,
-    seed: int = 0,
-    **simulate_kwargs,
-):
-    """Both phases end to end under the event simulator; returns its RunReport."""
-    from . import simnet  # simnet composes this module's primitives
-
-    return simnet.simulate(
-        t,
-        inputs,
-        params,
-        algo=algo or ConsensusAlgo(),
-        seed=seed,
-        **simulate_kwargs,
-    )

@@ -141,20 +141,22 @@ def init_shares(
 ) -> list[MaskShareMsg]:
     """Draw one uniform share per neighbor and emit the outgoing messages.
 
-    Neighbors are served in ascending id order; that order is part of the
-    seed-to-stream contract. `override` pins individual shares by
-    (sender, receiver) pair for replaying worked instances. Isolated agents
-    send nothing and their mask settles to zero immediately.
+    Neighbors are served in ascending id order, all in one bulk draw; that
+    order is part of the seed-to-stream contract. `override` pins individual
+    shares by (sender, receiver) pair for replaying worked instances; a pinned
+    share consumes no draw. Isolated agents send nothing and their mask
+    settles to zero immediately.
     """
     if state._initialized:
         raise ProtocolError(f"agent {state.agent_id} already drew its shares")
     p = state.params.p
+    nbrs = sorted(state.neighbors)
+    values = {j: v for (i, j), v in (override or {}).items() if i == state.agent_id}
+    free = [j for j in nbrs if j not in values]
+    values.update(zip(free, rng.randints_below(p.value, len(free)).tolist()))
     msgs = []
-    for j in sorted(state.neighbors):
-        if override is not None and (state.agent_id, j) in override:
-            share = Residue(override[(state.agent_id, j)], p)
-        else:
-            share = rng.uniform_residue(p)
+    for j in nbrs:
+        share = Residue(values[j], p)
         state.sent_shares[j] = share
         msgs.append(MaskShareMsg(sender=state.agent_id, receiver=j, share=share))
     state._initialized = True

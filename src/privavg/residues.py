@@ -17,10 +17,7 @@ __all__ = [
     "ModulusMismatchError",
     "Residue",
     "SeededRng",
-    "add",
-    "sub",
     "sum_mod",
-    "uniform_residue",
 ]
 
 _U64 = 2**64
@@ -94,14 +91,6 @@ class Residue:
         return f"{self.value} mod {self.modulus.value}"
 
 
-def add(x: Residue, y: Residue) -> Residue:
-    return x + y
-
-
-def sub(x: Residue, y: Residue) -> Residue:
-    return x - y
-
-
 def sum_mod(values: Sequence[Residue] | Iterable[Residue], modulus: Optional[Modulus] = None) -> Residue:
     """Sum residues sharing one modulus; the empty sum needs `modulus` spelled out."""
     total = 0
@@ -115,6 +104,13 @@ def sum_mod(values: Sequence[Residue] | Iterable[Residue], modulus: Optional[Mod
     if m is None:
         raise ValueError("empty sum has no modulus; pass one explicitly")
     return Residue(total % m.value, m)
+
+
+def _range_mask(n: int) -> int:
+    # the smallest all-ones word covering [0, n); a masked word is kept iff < n
+    if n <= 0 or n >= _U64:
+        raise ValueError(f"range size must satisfy 0 < n < 2**64, got {n}")
+    return (1 << (n - 1).bit_length()) - 1
 
 
 class SeededRng:
@@ -139,26 +135,32 @@ class SeededRng:
 
     def randint_below(self, n: int) -> int:
         """Uniform integer in [0, n) by masked rejection; n must fit in 64 bits."""
-        if n <= 0 or n >= _U64:
-            raise ValueError(f"range size must satisfy 0 < n < 2**64, got {n}")
-        if n == 1:
+        mask = _range_mask(n)
+        if not mask:
             return 0
-        mask = (1 << (n - 1).bit_length()) - 1
         while True:
             word = int(self._raw()) & mask
             if word < n:
                 return word
+
+    def randints_below(self, n: int, k: int) -> np.ndarray:
+        """The `k` integers that `k` calls of `randint_below(n)` would return,
+        as a uint64 array. Each round draws only the shortfall, so no word past
+        the k-th accepted one is consumed and the stream stays in step."""
+        mask = np.uint64(_range_mask(n))
+        if not mask:
+            return np.zeros(k, dtype=np.uint64)
+        kept = []
+        need = k
+        while need:
+            words = self._raw(need) & mask
+            words = words[words < np.uint64(n)]
+            kept.append(words)
+            need -= len(words)
+        return np.concatenate(kept) if kept else np.empty(0, dtype=np.uint64)
 
     def randrange(self, lo: int, hi: int) -> int:
         """Uniform integer in the inclusive range [lo, hi]."""
         if hi < lo:
             raise ValueError(f"empty range [{lo}, {hi}]")
         return lo + self.randint_below(hi - lo + 1)
-
-    def uniform_residue(self, modulus: Modulus) -> Residue:
-        return Residue(self.randint_below(modulus.value), modulus)
-
-
-def uniform_residue(rng: SeededRng, modulus: Modulus) -> Residue:
-    """Draw one exactly uniform element of Z_p from the given stream."""
-    return rng.uniform_residue(modulus)

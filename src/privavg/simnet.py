@@ -29,7 +29,7 @@ from .masking import (
     receive_share,
 )
 from .residues import SeededRng
-from .topology import Topology, connected_components
+from .topology import Topology, _require_connected
 
 __all__ = [
     "AdversarySpec",
@@ -38,7 +38,6 @@ __all__ = [
     "SimEvent",
     "ValueMsg",
     "delivery_schedule",
-    "extract_view",
     "simulate",
 ]
 
@@ -85,17 +84,6 @@ class AdversaryView:
     all_effective_inputs: dict[int, int]
     incident_differences: dict[tuple[int, int], int]
     transcript: tuple[str, ...]
-
-    def key(self) -> tuple:
-        """Canonical tuple for histogramming; transcript ordering excluded."""
-        return (
-            tuple(self.all_effective_inputs[i] for i in sorted(self.all_effective_inputs)),
-            tuple((e, self.incident_differences[e]) for e in sorted(self.incident_differences)),
-        )
-
-
-def _fraction(s: str) -> Fraction:
-    return Fraction(s)
 
 
 @dataclass
@@ -179,7 +167,7 @@ class RunReport:
                 fields[tag] = rest
             elif tag == "agent_average":
                 i, val = rest.split(" ", 1)
-                averages[int(i)] = _fraction(val)
+                averages[int(i)] = Fraction(val)
             elif tag == "adversary":
                 adversary = tuple(int(x) for x in rest.split()) if rest else ()
             elif tag == "view_input":
@@ -199,7 +187,7 @@ class RunReport:
                 transcript.append(rest)
             elif tag == "spread":
                 _, val = rest.split(" ", 1)
-                spread.append(_fraction(val))
+                spread.append(Fraction(val))
             elif tag == "event":
                 events.append(rest)
             else:
@@ -225,12 +213,6 @@ class RunReport:
             )
         except KeyError as exc:
             raise ValueError(f"run report has no {exc.args[0]} line") from None
-
-
-def extract_view(report: RunReport) -> AdversaryView:
-    if report.view is None:
-        raise ValueError("run had no adversary configured; nothing was recorded")
-    return report.view
 
 
 def delivery_schedule(rng: SeededRng, due: list[SimEvent]) -> SimEvent:
@@ -291,7 +273,8 @@ def simulate(
     Parameters
     ----------
     t, inputs, params : the scenario; `t` must be connected.
-    algo : consensus route for phase 2 (flooding by default).
+    algo : consensus route for phase 2 (flooding by default); a gossip
+        tolerance must stay below 1/(2n^2).
     adversary : optional coalition whose view gets recorded, never consulted.
     seed : master seed; fixes shares, schedule, and gossip at once.
     max_delay : delivery delay is drawn uniformly from [1, max_delay].
@@ -301,10 +284,13 @@ def simulate(
         replaying worked instances exactly.
     """
     algo = algo or ConsensusAlgo()
-    comps = connected_components(t)
-    if len(comps) > 1:
-        pretty = " ".join("{" + ",".join(map(str, sorted(c))) + "}" for c in comps)
-        raise ValueError(f"simulation needs a connected graph; components: {pretty}")
+    _require_connected(t, "simulation")
+    bound = Fraction(1, 2 * t.n * t.n)
+    if algo.variant == "gossip_avg" and algo.gossip_tolerance >= bound:
+        raise ValueError(
+            f"gossip tolerance {algo.gossip_tolerance} must be below 1/(2n^2) = {bound} "
+            f"for n = {t.n}"
+        )
     if max_delay < 1:
         raise ValueError(f"max_delay must be at least 1, got {max_delay}")
     members: frozenset[int] = adversary.members if adversary is not None else frozenset()

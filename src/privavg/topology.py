@@ -109,6 +109,16 @@ def connected_components(t: Topology, subset: Optional[Iterable[int]] = None) ->
     return comps
 
 
+def _format_components(comps: Iterable[frozenset[int]]) -> str:
+    return " ".join("{" + ",".join(map(str, sorted(c))) + "}" for c in comps)
+
+
+def _require_connected(t: Topology, what: str) -> None:
+    comps = connected_components(t)
+    if len(comps) > 1:
+        raise ValueError(f"{what} needs a connected graph; components: {_format_components(comps)}")
+
+
 def is_vertex_cut(t: Topology, cut: Iterable[int]) -> bool:
     """True iff deleting `cut` (a proper subset of V) disconnects the rest."""
     c = set(cut)
@@ -208,7 +218,7 @@ def load_topology_text(text: str) -> Topology:
     anything malformed raises ValueError naming the line.
     """
     n: Optional[int] = None
-    edges: list[tuple[int, int]] = []
+    edges: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -233,9 +243,10 @@ def load_topology_text(text: str) -> Topology:
                 raise ValueError(f"line {lineno}: endpoint outside 1..{n}")
             if i == j:
                 raise ValueError(f"line {lineno}: self-loop at vertex {i}")
-            if (min(i, j), max(i, j)) in {(min(a, b), max(a, b)) for a, b in edges}:
-                raise ValueError(f"line {lineno}: duplicate edge {{{min(i, j)},{max(i, j)}}}")
-            edges.append((i, j))
+            edge = (min(i, j), max(i, j))
+            if edge in edges:
+                raise ValueError(f"line {lineno}: duplicate edge {{{edge[0]},{edge[1]}}}")
+            edges.add(edge)
         else:
             raise ValueError(f"line {lineno}: unknown directive {parts[0]!r}")
     if n is None:

@@ -3,7 +3,10 @@
 `reference_delivery_schedule` is the pop-all-ties heap scheduler,
 `reference_gossip_avg` the pairwise-mean gossip loop on `Fraction`s, and
 `reference_simulate` the event loop that drives both over one heap of every
-pending event. The fast paths in `privavg` must reproduce them byte for byte.
+pending event. `reference_share_values` and `reference_sample_view_keys` draw
+one share per `randint_below` call, as `init_shares` and the sampled audit did
+before they drew in bulk. The fast paths in `privavg` must reproduce them byte
+for byte.
 """
 from __future__ import annotations
 
@@ -223,3 +226,46 @@ def reference_simulate(
         events=tuple(events),
         gossip_spread=spread_trace,
     )
+
+
+def reference_share_values(
+    agent: int,
+    neighbors,
+    p: int,
+    rng: SeededRng,
+    override: Optional[Mapping[tuple[int, int], int]] = None,
+) -> list[tuple[int, int]]:
+    """(neighbor, share) in ascending neighbor order, one draw per unpinned share."""
+    out = []
+    for j in sorted(neighbors):
+        if override is not None and (agent, j) in override:
+            out.append((j, override[(agent, j)]))
+        else:
+            out.append((j, rng.randint_below(p)))
+    return out
+
+
+def reference_sample_view_keys(
+    t: Topology,
+    p: int,
+    s: tuple[int, ...],
+    coalition_edge_idx: list[int],
+    rngs: Mapping[int, SeededRng],
+    samples: int,
+) -> list[tuple[int, ...]]:
+    """One view key per sample: all shares drawn one by one, then the effective
+    inputs and the coalition's edge differences accumulated edge by edge."""
+    order = [(i, j) for i in t.vertices for j in sorted(t.neighbors(i))]
+    edges = t.edges
+    keys = []
+    for _ in range(samples):
+        shares = {}
+        for i, j in order:
+            shares[(i, j)] = rngs[i].randint_below(p)
+        b = [(shares[(j, i)] - shares[(i, j)]) % p for i, j in edges]
+        eff = list(s)
+        for k, (i, j) in enumerate(edges):
+            eff[i - 1] = (eff[i - 1] + b[k]) % p
+            eff[j - 1] = (eff[j - 1] - b[k]) % p
+        keys.append(tuple(eff) + tuple(b[k] for k in coalition_edge_idx))
+    return keys

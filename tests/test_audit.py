@@ -357,29 +357,31 @@ def test_sampled_view_needs_enough_samples():
 
 def test_sampler_draws_match_the_share_exchange_machinery():
     # pre-draw the exact shares the sampler will use, push them through the
-    # real agent state machines, and compare the resulting view key
-    t = triangle()
-    params = ProtocolParams(n=3, q=10, p=Modulus(30))
-    seed, vec_idx = 99, 0
-    s = (4, 7, 3)
-    clones = {i: SeededRng(seed, (vec_idx, i)) for i in t.vertices}
-    shares = {}
-    for i in t.vertices:
-        for j in sorted(t.neighbors(i)):
-            shares[(i, j)] = clones[i].randint_below(30)
+    # real agent state machines, and compare the resulting view key; the
+    # second modulus is past int64, where the view rows hold Python ints
+    for p in (30, 2**64 - 59):
+        t = triangle()
+        params = ProtocolParams(n=3, q=10, p=Modulus(p))
+        seed, vec_idx = 99, 0
+        s = (4, 7, 3)
+        clones = {i: SeededRng(seed, (vec_idx, i)) for i in t.vertices}
+        shares = {}
+        for i in t.vertices:
+            for j in sorted(t.neighbors(i)):
+                shares[(i, j)] = clones[i].randint_below(p)
 
-    states = build_states(t, s, params)
-    exchange_shares(t, states, {i: SeededRng(0, i) for i in t.vertices}, override=shares)
-    diffs = {d.edge: d.value for d in edge_differences(states)}
-    expected = tuple(states[i].effective_input.value for i in t.vertices) + (
-        diffs[(1, 3)].value,
-        diffs[(2, 3)].value,
-    )
+        states = build_states(t, s, params)
+        exchange_shares(t, states, {i: SeededRng(0, i) for i in t.vertices}, override=shares)
+        diffs = {d.edge: d.value for d in edge_differences(states)}
+        expected = tuple(states[i].effective_input.value for i in t.vertices) + (
+            diffs[(1, 3)].value,
+            diffs[(2, 3)].value,
+        )
 
-    rngs = {i: SeededRng(seed, (vec_idx, i)) for i in t.vertices}
-    cols = [k for k, (i, j) in enumerate(t.edges) if 3 in (i, j)]
-    keys = _sample_view_keys(t, 30, s, cols, rngs, samples=1)
-    assert keys == [expected]
+        rngs = {i: SeededRng(seed, (vec_idx, i)) for i in t.vertices}
+        cols = [k for k, (i, j) in enumerate(t.edges) if 3 in (i, j)]
+        keys = _sample_view_keys(t, p, s, cols, rngs, samples=1)
+        assert keys == [expected]
 
 
 def test_verdict_text_and_histogram_csv():

@@ -220,3 +220,33 @@ def test_gossip_out_of_rounds_exits_one_with_one_line(tmp_path, capsys):
     assert len(err) == 1
     assert err[0].startswith("error: gossip spread still ")
     assert err[0].endswith(" after 3 rounds")
+
+
+LOOSE_GOSSIP_CFG = """\
+[experiment]
+algo = gossip
+p = 61
+q1 = 0
+q2 = 9
+tolerance = 1/4
+
+[topology]
+n = 6
+edges = 1,2 2,3 3,4 4,5 5,6 1,6
+
+[inputs]
+values = 3 9 0 5 7 2
+"""
+
+
+@pytest.mark.parametrize("seed", range(1, 7))
+def test_gossip_tolerance_past_the_rounding_bound_exits_one(tmp_path, capsys, seed):
+    # 1/4 is far above 1/(2n^2) = 1/72: some seeds would round wrong, so all refuse
+    cfg = tmp_path / "loose.cfg"
+    cfg.write_text(LOOSE_GOSSIP_CFG)
+    assert main(["run", "--config", str(cfg), "--seed", str(seed)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: gossip tolerance 1/4 must be below 1/(2n^2) = 1/72 for n = 6"
+    ]

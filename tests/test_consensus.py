@@ -1,4 +1,7 @@
-"""Consensus routes: flooding counts, gossip conservation, exact finalization."""
+"""Consensus routes: flooding counts, gossip conservation, exact finalization.
+
+Flooding runs inside the event simulator, so its tests drive `simulate`.
+"""
 from __future__ import annotations
 
 import random
@@ -11,45 +14,53 @@ from privavg.consensus import (
     ConvergenceError,
     RoundingError,
     finalize,
-    flood_sum,
     gossip_avg,
 )
 from privavg.masking import ProtocolParams
 from privavg.residues import Modulus, SeededRng
+from privavg.simnet import AdversarySpec, simulate
 from privavg.topology import Topology
 
 from conftest import path3, random_connected_topology, triangle
 
+PARAMS_30 = ProtocolParams(n=3, q=10, p=Modulus(30))
+GOLDEN_SHARES = {(1, 2): 14, (2, 1): 11, (2, 3): 17, (3, 2): 5, (3, 1): 3, (1, 3): 8}
+
 
 def test_flood_triangle_collects_everything():
-    res = flood_sum(triangle(), {1: 26, 2: 28, 3: 20})
-    assert res.per_agent == {1: Fraction(74), 2: Fraction(74), 3: Fraction(74)}
-    assert res.messages == 12
-    assert res.rounds == 2
+    # pinned shares give effective inputs 26, 28, 20: every agent floods to 74
+    rep = simulate(
+        triangle(), [4, 7, 3], PARAMS_30, seed=42, share_override=GOLDEN_SHARES,
+        adversary=AdversarySpec(()),
+    )
+    assert rep.view.all_effective_inputs == {1: 26, 2: 28, 3: 20}
+    assert rep.averages == {i: finalize(74, PARAMS_30) for i in (1, 2, 3)}
+    assert rep.phase2_messages == 12
 
 
 def test_flood_single_agent_is_free():
-    res = flood_sum(Topology(1, []), {1: 5})
-    assert res.per_agent == {1: Fraction(5)}
-    assert res.messages == 0
-    assert res.rounds == 0
+    rep = simulate(Topology(1, []), [5], ProtocolParams(n=1, q=10, p=Modulus(11)))
+    assert rep.averages == {1: Fraction(5)}
+    assert rep.phase2_messages == 0
 
 
 def test_flood_star_of_zeros():
     star = Topology(4, [(1, 2), (1, 3), (1, 4)])
-    res = flood_sum(star, {i: 0 for i in range(1, 5)})
-    assert set(res.per_agent.values()) == {Fraction(0)}
-    assert res.messages == 12
+    rep = simulate(star, [0] * 4, ProtocolParams.with_default_p(4, 2))
+    assert set(rep.averages.values()) == {Fraction(0)}
+    assert rep.phase2_messages == 12
 
 
 def test_flood_rejects_disconnected_naming_components():
     with pytest.raises(ValueError, match=r"\{1,2\} \{3,4\}"):
-        flood_sum(Topology(4, [(1, 2), (3, 4)]), {i: 0 for i in range(1, 5)})
+        simulate(Topology(4, [(1, 2), (3, 4)]), [0] * 4, ProtocolParams.with_default_p(4, 2))
 
 
 def test_flood_requires_every_vertex_keyed():
+    with pytest.raises(ValueError, match="need 3 inputs"):
+        simulate(triangle(), [1, 2], PARAMS_30)
     with pytest.raises(ValueError, match="keyed"):
-        flood_sum(triangle(), {1: 1, 2: 2})
+        gossip_avg(triangle(), {1: 1, 2: 2}, ConsensusAlgo("gossip_avg"), SeededRng(0, 99))
 
 
 def test_gossip_two_agents_single_exchange():
@@ -106,8 +117,6 @@ def test_algo_validation_and_budget():
     assert ConsensusAlgo().rounds_budget(triangle()) == 50 * 9 * 3
     assert ConsensusAlgo(max_rounds=17).rounds_budget(triangle()) == 17
 
-
-PARAMS_30 = ProtocolParams(n=3, q=10, p=Modulus(30))
 
 
 def test_finalize_exact_and_near_integer():

@@ -4,16 +4,24 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from privavg.audit import _sample_view_keys, enumerate_mask_distribution, enumerate_view_distribution
 from privavg.consensus import ConsensusAlgo, ConvergenceError, gossip_avg
-from privavg.masking import PhaseDoneMsg, ProtocolParams
+from privavg.masking import AgentState, PhaseDoneMsg, ProtocolParams, init_shares
 from privavg.residues import SeededRng
 from privavg.simnet import AdversarySpec, SimEvent, delivery_schedule, simulate
 from privavg.topology import Topology
 
-from conftest import random_connected_topology, ten_node_three_separators
-from reference import reference_delivery_schedule, reference_gossip_avg, reference_simulate
+from conftest import path3, random_connected_topology, ten_node_three_separators
+from reference import (
+    reference_delivery_schedule,
+    reference_gossip_avg,
+    reference_sample_view_keys,
+    reference_share_values,
+    reference_simulate,
+)
 
 
 def _instances():
@@ -142,3 +150,72 @@ def test_flood_smoke_at_one_hundred_agents():
     rep = simulate(Topology(n, sorted(edges)), inputs, ProtocolParams.with_default_p(n, 10), seed=1)
     assert rep.average == Fraction(sum(inputs), n)
     assert rep.phase2_messages > 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 2**63 + 5, 2**64 - 1])
+def test_randints_below_matches_single_draws(n):
+    for k in (0, 1, 7, 1000):
+        bulk_rng, single_rng = SeededRng(17, (k, 3)), SeededRng(17, (k, 3))
+        bulk = bulk_rng.randints_below(n, k)
+        assert bulk.dtype == np.uint64 and bulk.shape == (k,)
+        assert bulk.tolist() == [single_rng.randint_below(n) for _ in range(k)]
+        # the bulk call left the stream exactly where k single draws leave it
+        assert bulk_rng.randint_below(2**64 - 1) == single_rng.randint_below(2**64 - 1)
+
+
+def test_init_shares_matches_single_draws_with_partial_override():
+    rnd = random.Random(515)
+    for trial in range(8):
+        t = random_connected_topology(rnd, rnd.randrange(2, 9))
+        params = ProtocolParams.with_default_p(t.n, rnd.randrange(2, 12))
+        p = params.p.value
+        override = {
+            (i, j): rnd.randrange(p)
+            for i in t.vertices for j in t.neighbors(i) if rnd.random() < 0.4
+        }
+        for i in t.vertices:
+            state = AgentState(i, 0, t.neighbors(i), params)
+            fast_rng, slow_rng = SeededRng(trial, i), SeededRng(trial, i)
+            msgs = init_shares(state, fast_rng, override)
+            got = [(m.receiver, int(m.share)) for m in msgs]
+            assert got == reference_share_values(i, t.neighbors(i), p, slow_rng, override)
+            assert fast_rng.randint_below(2**32) == slow_rng.randint_below(2**32)
+
+
+def _view_key_cases():
+    ring = Topology(6, [(i, i + 1) for i in range(1, 6)] + [(1, 6)])
+    path = Topology(5, [(i, i + 1) for i in range(1, 5)])
+    return [
+        (path3(), frozenset({3})),
+        (path, frozenset({3})),
+        (path, frozenset()),
+        (ring, frozenset({2, 5})),
+        (ring, frozenset()),
+        (ten_node_three_separators(), frozenset({3, 5, 10})),
+        (ten_node_three_separators(), frozenset()),
+    ]
+
+
+@pytest.mark.parametrize("p", [2, 30, 2**64 - 59])
+def test_sample_view_keys_match_the_per_sample_loop(p):
+    rnd = random.Random(p % 1000)
+    for t, members in _view_key_cases():
+        s = tuple(rnd.randrange(p) for _ in range(t.n))
+        cols = [k for k, (i, j) in enumerate(t.edges) if i in members or j in members]
+        fast_rngs = {i: SeededRng(7, (0, i)) for i in t.vertices}
+        slow_rngs = {i: SeededRng(7, (0, i)) for i in t.vertices}
+        fast = _sample_view_keys(t, p, s, cols, fast_rngs, samples=40)
+        slow = reference_sample_view_keys(t, p, s, cols, slow_rngs, samples=40)
+        assert fast == slow
+        assert all(type(x) is int for key in fast for x in key)
+        for i in t.vertices:
+            assert fast_rngs[i].randint_below(2**32) == slow_rngs[i].randint_below(2**32)
+
+
+def test_enumeration_past_int64_on_an_edgeless_graph():
+    # no edges leave one view, s itself, whose entries do not fit in int64
+    p = 2**64 - 59
+    t = Topology(2, [])
+    assert enumerate_mask_distribution(t, p).counts == {(0, 0): 1}
+    view = enumerate_view_distribution(t, p, AdversarySpec({1}), (5, p - 1))
+    assert view.counts == {(5, p - 1): 1}

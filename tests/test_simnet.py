@@ -15,7 +15,6 @@ from privavg.simnet import (
     RunReport,
     SimEvent,
     delivery_schedule,
-    extract_view,
     simulate,
 )
 from privavg.topology import Topology
@@ -35,7 +34,7 @@ def golden_run(**kw):
 def test_golden_run_with_pinned_shares():
     rep = golden_run(adversary=AdversarySpec({3}))
     assert rep.average == Fraction(14, 3)
-    view = extract_view(rep)
+    view = rep.view
     assert view.all_effective_inputs == {1: 26, 2: 28, 3: 20}
     assert view.incident_differences == {(1, 3): 25, (2, 3): 18}
     assert view.adversary_inputs == {3: 3}
@@ -94,7 +93,7 @@ def test_schedule_seed_changes_order_not_outcome():
 
 def test_empty_coalition_sees_only_effective_inputs():
     rep = golden_run(adversary=AdversarySpec(set()))
-    view = extract_view(rep)
+    view = rep.view
     assert view.adversary_inputs == {}
     assert view.incident_differences == {}
     assert view.transcript == ()
@@ -104,7 +103,7 @@ def test_empty_coalition_sees_only_effective_inputs():
 def test_all_but_one_coalition_reconstructs_the_holdout():
     inputs = [4, 7, 3]
     rep = golden_run(adversary=AdversarySpec({2, 3}))
-    view = extract_view(rep)
+    view = rep.view
     reconstructed = rep.average * 3 - sum(view.adversary_inputs.values())
     assert reconstructed == inputs[0]
 
@@ -113,12 +112,12 @@ def test_path_coalition_sees_only_incident_edges():
     rep = simulate(
         path3(), [4, 7, 3], PARAMS_30, seed=3, adversary=AdversarySpec({3})
     )
-    assert set(extract_view(rep).incident_differences) == {(2, 3)}
+    assert set(rep.view.incident_differences) == {(2, 3)}
 
 
-def test_extract_view_requires_adversary():
-    with pytest.raises(ValueError, match="no adversary"):
-        extract_view(golden_run())
+def test_report_without_adversary_records_no_view():
+    rep = golden_run()
+    assert rep.adversary is None and rep.view is None
 
 
 def test_delivery_schedule_uniform_over_ties():
@@ -163,7 +162,7 @@ def test_transcript_covers_exactly_coalition_deliveries():
     rep = simulate(
         t, [2, 0, 1, 2, 0, 1, 2, 0, 1, 2], params, seed=21, adversary=AdversarySpec({3, 5, 10})
     )
-    view = extract_view(rep)
+    view = rep.view
     to_coalition = [ln for ln in rep.events if int(ln.split()[4]) in {3, 5, 10}]
     assert list(view.transcript) == to_coalition
     for line in view.transcript:
@@ -182,7 +181,7 @@ def test_masked_sum_identity_in_adversarial_runs():
         inputs = [rnd.randrange(q) for _ in range(n)]
         members = set(rnd.sample(range(1, n + 1), rnd.randrange(1, n)))
         rep = simulate(t, inputs, params, seed=trial, adversary=AdversarySpec(members))
-        view = extract_view(rep)
+        view = rep.view
         p = params.p.value
         honest = sum(v for i, v in view.all_effective_inputs.items() if i not in members)
         coalition = sum(v for i, v in view.all_effective_inputs.items() if i in members)
@@ -217,3 +216,13 @@ def test_simulate_rejects_disconnected_and_bad_adversary():
                  adversary=AdversarySpec({5}))
     with pytest.raises(ValueError, match="max_delay"):
         simulate(Topology(2, [(1, 2)]), [0, 1], ProtocolParams.with_default_p(2, 3), max_delay=0)
+
+
+def test_gossip_tolerance_must_stay_below_the_rounding_bound():
+    # n = 3: the final rounding is safe only below 1/(2n^2) = 1/18
+    with pytest.raises(ValueError, match=r"gossip tolerance 1/18 must be below 1/\(2n\^2\) = 1/18"):
+        golden_run(algo=ConsensusAlgo("gossip_avg", gossip_tolerance=Fraction(1, 18)))
+    rep = golden_run(algo=ConsensusAlgo("gossip_avg", gossip_tolerance=Fraction(1, 19)))
+    assert rep.average == Fraction(14, 3)
+    # flooding has no tolerance to check
+    assert golden_run(algo=ConsensusAlgo(gossip_tolerance=Fraction(1, 2))).average == Fraction(14, 3)

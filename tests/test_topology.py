@@ -165,3 +165,21 @@ def test_topology_text_errors_name_lines():
         load_topology_text("# nothing\n")
     with pytest.raises(ValueError, match="line 2"):
         load_topology_text("n 3\nq 1 2\n")
+
+
+def test_topology_text_loads_four_thousand_edges_and_names_duplicates():
+    n = 2000
+    rnd = random.Random(4000)
+    edges = {(i, i + 1) for i in range(1, n)} | {(1, n)}
+    while len(edges) < 4000:
+        a, b = sorted(rnd.sample(range(1, n + 1), 2))
+        edges.add((a, b))
+    text = format_topology_text(Topology(n, edges))
+    t = load_topology_text(text)
+    assert t.n == n and len(t.edges) == 4000
+    # a repeat is named with its line, whichever way round either copy is written
+    lineno = text.count("\n") + 1
+    for base in (text, text.replace("\ne 1 2\n", "\ne 2 1\n")):
+        for a, b in ((1, 2), (2, 1)):
+            with pytest.raises(ValueError, match=rf"^line {lineno}: duplicate edge \{{1,2\}}$"):
+                load_topology_text(base + f"e {a} {b}\n")
