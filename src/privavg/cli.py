@@ -177,8 +177,14 @@ class _Fields:
                 f"line {lineno}: [{section}] {key}: expected {what}, got {value!r}"
             ) from None
 
-    def integer(self, section, key, default=None):
-        return self._convert(section, key, int, "an integer", default)
+    def integer(self, section, key, default=None, minimum=None):
+        value = self._convert(section, key, int, "an integer", default)
+        if minimum is not None and value is not None and value < minimum:
+            raise ConfigError(
+                f"line {self.raw(section, key)[1]}: [{section}] {key}: "
+                f"expected an integer >= {minimum}, got {value}"
+            )
+        return value
 
     def fraction(self, section, key, default=None):
         return self._convert(section, key, Fraction, "a rational", default)
@@ -276,7 +282,7 @@ def parse_config(text: str, base_dir: str | Path = ".") -> ExperimentConfig:
         audit_s_prime=fields.int_list("audit", "s_prime"),
         samples=fields.integer("audit", "samples"),
         alpha=fields.real("audit", "alpha", 0.01),
-        budget=fields.integer("audit", "budget", 10**7),
+        budget=fields.integer("audit", "budget", 10**7, minimum=1),
     )
     return ExperimentConfig(
         mode=mode,

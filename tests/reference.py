@@ -5,15 +5,23 @@
 `reference_simulate` the event loop that drives both over one heap of every
 pending event. `reference_share_values` and `reference_sample_view_keys` draw
 one share per `randint_below` call, as `init_shares` and the sampled audit did
-before they drew in bulk. The fast paths in `privavg` must reproduce them byte
-for byte.
+before they drew in bulk. `reference_enumerate_views` builds each chunk's view
+rows by an incidence-matrix product (`reference_view_rows`), counts them with
+`np.unique(axis=0)` and merges them one row at a time, and
+`reference_marginal_bins` bins sampled view keys one key at a time, as the
+audits did before they worked on int64 codes and columns. The fast paths in
+`privavg` must reproduce them byte for byte.
 """
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
+import numpy as np
+
+from privavg.audit import Histogram, _b_chunks, _row_tuples, _space_size
 from privavg.consensus import ConsensusAlgo, ConsensusResult, ConvergenceError, finalize
 from privavg.masking import (
     MaskShareMsg,
@@ -34,7 +42,7 @@ from privavg.simnet import (
     ValueMsg,
     _scenario_hash,
 )
-from privavg.topology import Topology, connected_components
+from privavg.topology import Topology, connected_components, incidence_matrix
 
 
 def reference_delivery_schedule(rng: SeededRng, pending: list[SimEvent]) -> SimEvent:
@@ -269,3 +277,43 @@ def reference_sample_view_keys(
             eff[j - 1] = (eff[j - 1] - b[k]) % p
         keys.append(tuple(eff) + tuple(b[k] for k in coalition_edge_idx))
     return keys
+
+
+def reference_view_rows(
+    inc: np.ndarray, p: int, s: Sequence[int], cols: list[int], b: np.ndarray
+) -> np.ndarray:
+    """(s + b·Bᵀ) mod p by one matrix product, then the coalition's columns of b."""
+    dtype = np.int64 if p * (inc.shape[1] + 1) < 2**63 else object
+    b = b.astype(dtype, copy=False)
+    eff = (np.array(s, dtype=dtype) + b @ inc.T.astype(dtype)) % p
+    return np.concatenate([eff, b[:, cols]], axis=1) if cols else eff
+
+
+def reference_enumerate_views(
+    t: Topology, p: int, s: Sequence[int], cols: list[int], budget: int
+) -> Histogram:
+    """Histogram of view rows: each chunk's unique rows by a row sort, added to
+    the histogram one row at a time; rows of Python ints skip the sort."""
+    total = _space_size(t, p, budget)
+    inc = incidence_matrix(t).matrix
+    counts: dict[tuple, int] = {}
+    for block in _b_chunks(len(t.edges), p, total):
+        rows = reference_view_rows(inc, p, s, cols, block)
+        if rows.dtype == object:  # np.unique cannot sort rows of Python ints
+            uniq, cnt = rows, np.ones(len(rows), dtype=np.int64)
+        else:
+            uniq, cnt = np.unique(rows, axis=0, return_counts=True)
+        for row, c in zip(_row_tuples(uniq), cnt.tolist()):
+            counts[row] = counts.get(row, 0) + c
+    return Histogram(counts)
+
+
+def reference_marginal_bins(
+    keys: Sequence[tuple[int, ...]], p: int, honest: Sequence[int], num_cols: int
+) -> list[Counter]:
+    """The honest-sum marginal and each incident-difference column, one key at a time."""
+    n = len(keys[0]) - num_cols
+    bins = [Counter(sum(k[i - 1] for i in honest) % p for k in keys)]
+    for m in range(1, num_cols + 1):
+        bins.append(Counter(k[n + m - 1] for k in keys))
+    return bins

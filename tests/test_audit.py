@@ -21,7 +21,8 @@ from privavg.audit import (
     enumerate_view_distribution,
     histogram_csv,
     sampled_view_test,
-    _sample_view_keys,
+    _row_tuples,
+    _sample_view_rows,
 )
 from privavg.masking import ProtocolParams, build_states, edge_differences, exchange_shares
 from privavg.residues import Modulus, SeededRng
@@ -380,7 +381,7 @@ def test_sampler_draws_match_the_share_exchange_machinery():
 
         rngs = {i: SeededRng(seed, (vec_idx, i)) for i in t.vertices}
         cols = [k for k, (i, j) in enumerate(t.edges) if 3 in (i, j)]
-        keys = _sample_view_keys(t, p, s, cols, rngs, samples=1)
+        keys = list(_row_tuples(_sample_view_rows(t, p, s, cols, rngs, samples=1)))
         assert keys == [expected]
 
 
@@ -400,3 +401,13 @@ def test_verdict_text_and_histogram_csv():
     hist = Histogram({(1, 2): 3, (0, 0): 1})
     csv = histogram_csv(hist)
     assert csv.splitlines() == ["outcome,count", '"0 0",1', '"1 2",3']
+
+
+def test_mask_uniformity_at_the_default_budget():
+    # 6-vertex ring plus 4 chords at p = 5: 5^10 = 9.77M rows, just under 10^7
+    ring = [(i, i + 1) for i in range(1, 6)] + [(1, 6)]
+    t = Topology(6, ring + [(1, 3), (2, 5), (3, 6), (4, 6)])
+    verdict = check_mask_uniformity(t, 5)
+    assert verdict.passed
+    assert verdict.details["support_size"] == 5**5
+    assert verdict.details["count_values"] == [5**5]

@@ -250,3 +250,43 @@ def test_gossip_tolerance_past_the_rounding_bound_exits_one(tmp_path, capsys, se
     assert captured.err.splitlines() == [
         "error: gossip tolerance 1/4 must be below 1/(2n^2) = 1/72 for n = 6"
     ]
+
+
+BUDGET_CFG = """\
+[experiment]
+p = {p}
+
+[topology]
+n = 3
+edges = {edges}
+
+[audit]
+claim = mask-uniformity
+budget = {budget}
+"""
+
+
+@pytest.mark.parametrize("budget", ["-5", "0"])
+def test_budget_below_one_exits_two_naming_line(tmp_path, capsys, budget):
+    cfg = tmp_path / "budget.cfg"
+    cfg.write_text(BUDGET_CFG.format(p=3, edges="1,2 2,3 1,3", budget=budget))
+    assert main(["audit", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"config error: line 10: [audit] budget: expected an integer >= 1, got {budget}"
+    ]
+
+
+def test_budget_past_int64_codes_exits_one_naming_size(tmp_path, capsys):
+    # a budget of 10^23 admits p = 2^64-59 on one edge, which int64 codes cannot index
+    p = 2**64 - 59
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(BUDGET_CFG.format(p=p, edges="1,2", budget=10**23))
+    assert main(["audit", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: enumeration needs {p} b-vectors")
+    assert "2^63" in err[0]

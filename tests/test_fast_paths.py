@@ -1,13 +1,22 @@
 """Fast paths against the slow reference implementations they replaced."""
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from privavg.audit import _sample_view_keys, enumerate_mask_distribution, enumerate_view_distribution
+from privavg.audit import (
+    EnumerationBudgetError,
+    _coalition_edges,
+    _marginal_bins,
+    _row_tuples,
+    _sample_view_rows,
+    enumerate_mask_distribution,
+    enumerate_view_distribution,
+)
 from privavg.consensus import ConsensusAlgo, ConvergenceError, gossip_avg
 from privavg.masking import AgentState, PhaseDoneMsg, ProtocolParams, init_shares
 from privavg.residues import SeededRng
@@ -17,6 +26,8 @@ from privavg.topology import Topology
 from conftest import path3, random_connected_topology, ten_node_three_separators
 from reference import (
     reference_delivery_schedule,
+    reference_enumerate_views,
+    reference_marginal_bins,
     reference_gossip_avg,
     reference_sample_view_keys,
     reference_share_values,
@@ -204,12 +215,19 @@ def test_sample_view_keys_match_the_per_sample_loop(p):
         cols = [k for k, (i, j) in enumerate(t.edges) if i in members or j in members]
         fast_rngs = {i: SeededRng(7, (0, i)) for i in t.vertices}
         slow_rngs = {i: SeededRng(7, (0, i)) for i in t.vertices}
-        fast = _sample_view_keys(t, p, s, cols, fast_rngs, samples=40)
+        fast = list(_row_tuples(_sample_view_rows(t, p, s, cols, fast_rngs, samples=40)))
         slow = reference_sample_view_keys(t, p, s, cols, slow_rngs, samples=40)
         assert fast == slow
         assert all(type(x) is int for key in fast for x in key)
         for i in t.vertices:
             assert fast_rngs[i].randint_below(2**32) == slow_rngs[i].randint_below(2**32)
+
+
+def _views_both(t, p, members, s, budget=10**7):
+    """(fast histogram, reference histogram) of one coalition's views."""
+    fast = enumerate_view_distribution(t, p, AdversarySpec(members), s, budget)
+    slow = reference_enumerate_views(t, p, s, _coalition_edges(t, frozenset(members)), budget)
+    return fast, slow
 
 
 def test_enumeration_past_int64_on_an_edgeless_graph():
@@ -219,3 +237,104 @@ def test_enumeration_past_int64_on_an_edgeless_graph():
     assert enumerate_mask_distribution(t, p).counts == {(0, 0): 1}
     view = enumerate_view_distribution(t, p, AdversarySpec({1}), (5, p - 1))
     assert view.counts == {(5, p - 1): 1}
+    for members in [(), (1,)]:
+        fast, slow = _views_both(t, p, members, (5, p - 1))
+        assert fast == slow
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 30])
+def test_enumeration_matches_row_sort_on_every_small_graph(p):
+    # every labelled graph on up to 4 vertices, no coalition and each single
+    # vertex; spaces past the budget must be refused
+    budget = 2 * 10**4
+    rnd = random.Random(p)
+    for n in range(1, 5):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for r in range(len(pairs) + 1):
+            for edges in itertools.combinations(pairs, r):
+                t = Topology(n, list(edges))
+                s = tuple(rnd.randrange(p) for _ in range(n))
+                for members in [()] + [(i,) for i in t.vertices]:
+                    if p ** len(edges) > budget:
+                        with pytest.raises(EnumerationBudgetError):
+                            enumerate_view_distribution(t, p, AdversarySpec(members), s, budget)
+                        continue
+                    fast, slow = _views_both(t, p, members, s, budget)
+                    assert fast == slow
+                    assert all(type(x) is int for key in fast.counts for x in key)
+                    assert all(type(c) is int for c in fast.counts.values())
+
+
+def test_enumeration_matches_row_sort_across_chunks():
+    # 3^10 = 59,049 rows: two chunks, whose codes must merge into one count each
+    t = Topology(5, list(itertools.combinations(range(1, 6), 2)))
+    for members in [(), (1,), (2, 4)]:
+        fast, slow = _views_both(t, 3, members, (0, 2, 1, 1, 0))
+        assert fast == slow
+        assert fast.total == 3**10
+    mask = enumerate_mask_distribution(t, 3)
+    assert set(mask.counts.values()) == {3**6} and len(mask.counts) == 3**4
+
+
+def test_enumeration_merges_interleaved_codes_across_chunks():
+    # 40,009 rows in two chunks; the second chunk's codes fall between the first's
+    p = 40009
+    t = Topology(2, [(1, 2)])
+    for members in [(), (1,)]:
+        fast, slow = _views_both(t, p, members, (5, 20000))
+        assert fast == slow
+        assert len(fast.counts) == p and set(fast.counts.values()) == {1}
+
+
+def test_enumeration_past_int64_codes_counts_rows_as_tuples():
+    # p^width >= 2^63 but the rows themselves are int64: the tuple fallback
+    p = 2**31 - 1
+    t = Topology(3, [])
+    fast, slow = _views_both(t, p, (), (1, p - 1, 7))
+    assert fast == slow and fast.counts == {(1, p - 1, 7): 1}
+    # on either side of the int64 limit: p^3 just below 2^63, then just above
+    for p in (2**21 - 9, 2**21 + 17):
+        top = (p - 1, p - 1, p - 1)
+        fast, slow = _views_both(t, p, (), top)
+        assert fast == slow and fast.counts == {top: 1}
+    # 40,009 rows over two chunks, width 5 or 6
+    p = 40009
+    t = Topology(5, [(1, 2)])
+    for members in [(), (1,), (3,)]:
+        fast, slow = _views_both(t, p, members, (3, 40008, 0, 5, 1))
+        assert fast == slow
+        assert fast.total == p and len(fast.counts) == p
+
+
+def test_enumeration_refuses_spaces_int64_codes_cannot_index():
+    with pytest.raises(EnumerationBudgetError, match="2\\^63"):
+        enumerate_mask_distribution(Topology(2, [(1, 2)]), 2**64 - 59, budget=10**23)
+    with pytest.raises(EnumerationBudgetError, match=str(2**63)):
+        enumerate_mask_distribution(Topology(64, [(i, i + 1) for i in range(1, 64)]), 2, budget=2**64)
+
+
+@pytest.mark.parametrize("p", [2, 30, 2**64 - 59])
+def test_marginal_bins_match_the_per_key_counters(p):
+    rnd = random.Random(p % 997)
+    for t, members in _view_key_cases():
+        s = tuple(rnd.randrange(p) for _ in range(t.n))
+        cols = _coalition_edges(t, members)
+        honest = [i for i in t.vertices if i not in members]
+        rngs = {i: SeededRng(11, (1, i)) for i in t.vertices}
+        rows = _sample_view_rows(t, p, s, cols, rngs, samples=300)
+        fast = _marginal_bins(rows, p, honest, len(cols))
+        slow = reference_marginal_bins(list(_row_tuples(rows)), p, honest, len(cols))
+        assert fast == slow
+        assert all(type(v) is int and type(c) is int for b in fast for v, c in b.items())
+
+
+def test_marginal_honest_sum_past_int64():
+    # int64 rows (p·(|E|+1) < 2^63); the four isolated agents alone sum past 2^63
+    p = 2**62 - 57
+    t = Topology(6, [(1, 2)])
+    s = tuple(p - k for k in range(1, 7))
+    rows = _sample_view_rows(t, p, s, [], {i: SeededRng(3, (0, i)) for i in t.vertices}, samples=50)
+    assert rows.dtype == np.int64
+    fast = _marginal_bins(rows, p, list(t.vertices), 0)
+    assert fast == reference_marginal_bins(list(_row_tuples(rows)), p, list(t.vertices), 0)
+    assert fast == [{sum(s) % p: 50}]
