@@ -5,19 +5,18 @@ preferred check is to enumerate every edge-difference assignment and compare
 histograms outcome by outcome. Mask vectors are the incidence matrix applied
 to the difference vector, which is why enumeration can run over Z_p^|E|
 instead of the quadratically larger raw share space. Enumeration walks the
-space in chunks of 2^15 rows; each view row becomes one int64 mixed-radix
-code, each chunk is counted with one 1-D sort and merged into a running
-sorted (code, count) pair, so memory follows the support, not p^|E|, and
-the codes are decoded into outcome tuples once at the end. Rows whose code
-would not fit in int64 are counted as tuples instead. The default budget
-(10^7 rows, e.g. a 6-vertex graph with 10 edges at p = 5) takes about 1.6 s
-on a 2-core x86 box. When the space is too big, a seeded two-sample
+space in chunks of 2^15 rows; each view row becomes one mixed-radix code
+(a Python int once p^width reaches 2^63, else int64), each chunk is counted
+with one 1-D sort and merged into a running sorted (code, count) pair, so
+memory follows the support, not p^|E|; the codes are decoded into outcome
+tuples once at the end, and sampled views are binned on the same codes. The
+default budget (10^7 rows, e.g. a 6-vertex graph with 10 edges at p = 5)
+takes about 1.6 s on a 2-core x86 box. When the space is too big, a seeded two-sample
 chi-square over binned coalition views stands in; negative controls
 (coalitions that cut the graph) must visibly leak there.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -25,7 +24,7 @@ import numpy as np
 
 from .residues import Modulus, SeededRng
 from .simnet import AdversarySpec
-from .topology import Topology, connected_components, is_vertex_cut
+from .topology import Topology, _require_vertices, connected_components, is_vertex_cut
 
 __all__ = [
     "AuditVerdict",
@@ -135,12 +134,13 @@ def _space_size(t: Topology, p: int, budget: int) -> int:
 
 
 def _digits(codes: np.ndarray, p: int, width: int) -> np.ndarray:
-    # mixed-radix decode of int64 codes into base-p digit rows, least significant
-    # first; built column by column, so the rows are a Fortran-ordered view
-    digits = np.empty((width, len(codes)), dtype=np.int64)
-    rem = codes
+    # mixed-radix decode of int64 or Python-int codes into base-p digit rows,
+    # least significant first (np.divmod has no object loop); built column by
+    # column, so the rows are a Fortran-ordered view
+    digits = np.empty((width, len(codes)), dtype=codes.dtype)
     for k in range(width):
-        rem, digits[k] = np.divmod(rem, p)
+        digits[k] = codes % p
+        codes = codes // p
     return digits.T
 
 
@@ -180,6 +180,22 @@ def _row_tuples(rows: np.ndarray) -> Iterator[tuple[int, ...]]:
     return zip(*rows.T.tolist())
 
 
+def _count_rows(rows: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of residues mod p as sorted mixed-radix codes, with counts.
+    The first column is the most significant digit, so codes sort as the row
+    tuples do; they are int64 while p^width < 2^63, Python ints past that."""
+    codes = np.zeros(len(rows), dtype=np.int64 if p ** rows.shape[1] < 2**63 else object)
+    for k in range(rows.shape[1]):
+        codes = codes * p + rows[:, k]
+    return np.unique(codes, return_counts=True)
+
+
+def _bins(rows: np.ndarray, p: int) -> dict[int, int]:
+    # code -> count of each distinct row, keys sorting as the row tuples do
+    codes, counts = _count_rows(rows, p)
+    return dict(zip(codes.tolist(), counts.tolist()))
+
+
 def _merge_counts(
     codes: np.ndarray, counts: np.ndarray, more: np.ndarray, more_counts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -195,19 +211,12 @@ def _merge_counts(
 
 def _enumerate_views(t: Topology, p: int, s: Sequence[int], cols: list[int], budget: int) -> Histogram:
     # histogram of _view_rows over every edge-difference vector
-    total = _space_size(t, p, budget)
-    width = t.n + len(cols)
-    chunks = (_view_rows(t, p, s, cols, b) for b in _b_chunks(len(t.edges), p, total))
-    if p**width >= 2**63:  # codes would not fit in int64 (object rows among them)
-        tally: Counter = Counter()
-        for rows in chunks:
-            tally.update(_row_tuples(rows))
-        return Histogram(dict(tally))
-    radix = np.array([p**k for k in range(width)], dtype=np.int64)
-    codes = counts = np.empty(0, dtype=np.int64)
-    for rows in chunks:
-        codes, counts = _merge_counts(codes, counts, *np.unique(rows @ radix, return_counts=True))
-    return Histogram(dict(zip(_row_tuples(_digits(codes, p, width)), counts.tolist())))
+    chunks = _b_chunks(len(t.edges), p, _space_size(t, p, budget))
+    codes, counts = _count_rows(_view_rows(t, p, s, cols, next(chunks)), p)
+    for b in chunks:
+        codes, counts = _merge_counts(codes, counts, *_count_rows(_view_rows(t, p, s, cols, b), p))
+    rows = _digits(codes, p, t.n + len(cols))[:, ::-1]  # most significant digit first
+    return Histogram(dict(zip(_row_tuples(rows), counts.tolist())))
 
 
 def enumerate_mask_distribution(t: Topology, p, budget: int = DEFAULT_BUDGET) -> Histogram:
@@ -227,21 +236,33 @@ def check_mask_uniformity(t: Topology, p, budget: int = DEFAULT_BUDGET) -> Audit
 
 def _mask_uniformity_verdict(t: Topology, pv: int, hist: Histogram) -> AuditVerdict:
     # the verdict of check_mask_uniformity from an already enumerated histogram
-    support_ok = all(sum(a) % pv == 0 for a in hist.counts)
+    return _coset_uniformity_verdict(
+        "mask-uniformity", t, pv, hist, 0,
+        count_values=sorted(set(hist.counts.values())),
+        components=len(connected_components(t)),
+    )
+
+
+def _coset_uniformity_verdict(
+    claim: str, t: Topology, pv: int, hist: Histogram, target: int, **details
+) -> AuditVerdict:
+    # outcomes uniform on the coset of vectors summing to `target` mod p, s + Im B
+    # on a connected graph: p^(n-1) outcomes, p^(|E|-n+1) rows each; masks are s = 0
     expected_support = pv ** (t.n - 1)
-    expected_count = pv ** (len(t.edges) - t.n + 1) if len(hist.counts) == expected_support else None
-    uniform_ok = expected_count is not None and set(hist.counts.values()) == {expected_count}
-    passed = support_ok and uniform_ok
+    passed = (
+        len(hist.counts) == expected_support
+        and set(hist.counts.values()) == {pv ** (len(t.edges) - t.n + 1)}
+        and all(sum(v) % pv == target for v in hist.counts)
+    )
     return AuditVerdict(
-        claim="mask-uniformity",
+        claim=claim,
         method="exact_enumeration",
         passed=passed,
         details={
             "p": pv,
             "support_size": len(hist.counts),
             "expected_support": expected_support,
-            "count_values": sorted(set(hist.counts.values())),
-            "components": len(connected_components(t)),
+            **details,
         },
     )
 
@@ -254,23 +275,7 @@ def check_effective_input_uniformity(
     sv = _check_inputs(t, pv, s, "s")
     hist = enumerate_view_distribution(t, pv, AdversarySpec(()), sv, budget)
     target = sum(sv) % pv
-    support_ok = all(sum(v) % pv == target for v in hist.counts)
-    expected_support = pv ** (t.n - 1)
-    uniform_ok = (
-        len(hist.counts) == expected_support
-        and set(hist.counts.values()) == {pv ** (len(t.edges) - t.n + 1)}
-    )
-    return AuditVerdict(
-        claim="input-uniformity",
-        method="exact_enumeration",
-        passed=support_ok and uniform_ok,
-        details={
-            "p": pv,
-            "sum_mod_p": target,
-            "support_size": len(hist.counts),
-            "expected_support": expected_support,
-        },
-    )
+    return _coset_uniformity_verdict("input-uniformity", t, pv, hist, target, sum_mod_p=target)
 
 
 def _coalition_edges(t: Topology, members: frozenset[int]) -> list[int]:
@@ -296,9 +301,8 @@ def _require_pair_conditions(
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     sv = _check_inputs(t, p, s, "s")
     sw = _check_inputs(t, p, s_prime, "s_prime")
+    _require_vertices(t, members, "coalition member")
     for i in members:
-        if not 1 <= i <= t.n:
-            raise ValueError(f"coalition member {i} outside 1..{t.n}")
         if sv[i - 1] != sw[i - 1]:
             raise ValueError(
                 f"input pairs must agree on coalition member {i} "
@@ -372,14 +376,13 @@ def check_group_privacy(
     """
     pv = _as_modulus_value(p)
     members = adversary.members
+    _require_vertices(t, members, "coalition member")
     h_set = frozenset(group)
     if not h_set:
         raise ValueError("group must be non-empty")
     if h_set & members:
         raise ValueError(f"group overlaps the coalition: {sorted(h_set & members)}")
-    for i in h_set:
-        if not 1 <= i <= t.n:
-            raise ValueError(f"group member {i} outside 1..{t.n}")
+    _require_vertices(t, h_set, "group member")
     sv = _check_inputs(t, pv, s, "s")
     sw = _check_inputs(t, pv, s_prime, "s_prime")
     for i in t.vertices:
@@ -467,11 +470,7 @@ def _marginal_bins(rows: np.ndarray, p: int, honest: list[int], num_cols: int) -
     if p * len(honest) >= 2**63:  # the int64 sum could overflow
         total = total.astype(object)
     columns = [total.sum(axis=1) % p] + [rows[:, n + m] for m in range(num_cols)]
-    bins = []
-    for column in columns:
-        values, counts = np.unique(column, return_counts=True)
-        bins.append(dict(zip(values.tolist(), counts.tolist())))
-    return bins
+    return [_bins(column[:, None], p) for column in columns]
 
 
 def chi2_contingency(*args, **kwargs):
@@ -521,6 +520,8 @@ def sampled_view_test(
     sv, sw = _require_pair_conditions(t, pv, members, s, s_prime)
     if samples < 1:
         raise ValueError("samples must be positive")
+    if not 0 < alpha < 1:
+        raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
     if sv == sw:
         # equal vectors induce the same distribution by construction; an
         # actual two-sample test would still reject a fraction alpha of runs
@@ -552,7 +553,7 @@ def sampled_view_test(
     }
 
     if space_estimate <= _FULL_BIN_LIMIT:
-        stat, pvalue = _two_sample_chi_square(*(Counter(_row_tuples(r)) for r in rows_per_vector))
+        stat, pvalue = _two_sample_chi_square(*(_bins(r, pv) for r in rows_per_vector))
         details["binning"] = "full_view"
         adjusted = pvalue
     else:

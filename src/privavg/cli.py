@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Optional
 
 from .audit import (
+    DEFAULT_BUDGET,
     _mask_uniformity_verdict,
     check_effective_input_uniformity,
     check_group_privacy,
@@ -93,7 +94,7 @@ class ExperimentConfig:
     audit_group: Optional[frozenset[int]] = None
     samples: Optional[int] = None
     alpha: float = 0.01
-    budget: int = 10**7
+    budget: int = DEFAULT_BUDGET
 
 
 def normalize_inputs(xs, q1: int, q2: int) -> tuple[tuple[int, ...], int, Fraction]:
@@ -277,12 +278,12 @@ def parse_config(text: str, base_dir: str | Path = ".") -> ExperimentConfig:
         q2=fields.integer("experiment", "q2"),
         p=fields.integer("experiment", "p"),
         schedule_seed=fields.integer("experiment", "schedule_seed"),
-        max_delay=fields.integer("experiment", "max_delay", 4),
+        max_delay=fields.integer("experiment", "max_delay", ExperimentConfig.max_delay),
         audit_claim=fields.word("audit", "claim", set(AUDIT_CLAIMS)),
         audit_s_prime=fields.int_list("audit", "s_prime"),
-        samples=fields.integer("audit", "samples"),
-        alpha=fields.real("audit", "alpha", 0.01),
-        budget=fields.integer("audit", "budget", 10**7, minimum=1),
+        samples=fields.integer("audit", "samples", minimum=1),
+        alpha=fields.real("audit", "alpha", ExperimentConfig.alpha),
+        budget=fields.integer("audit", "budget", ExperimentConfig.budget, minimum=1),
     )
     return ExperimentConfig(
         mode=mode,
@@ -298,10 +299,6 @@ def _require(cfg_value, what):
     if cfg_value is None:
         raise ConfigError(f"{what} is required for this mode")
     return cfg_value
-
-
-def _rational(value: Fraction) -> str:
-    return str(value)
 
 
 def _do_run(cfg: ExperimentConfig) -> tuple[int, str, dict[str, str]]:
@@ -322,7 +319,7 @@ def _do_run(cfg: ExperimentConfig) -> tuple[int, str, dict[str, str]]:
     average = report.average + shift
     lines = [
         f"agents = {t.n}  modulus = {params.p.value}  algo = {cfg.algo.variant}",
-        f"average = {_rational(average)} (= {decimal_text(average)})",
+        f"average = {average} (= {decimal_text(average)})",
     ]
     files = {"report.txt": report.to_text()}
     if report.gossip_spread:

@@ -29,7 +29,7 @@ from .masking import (
     receive_share,
 )
 from .residues import SeededRng
-from .topology import Topology, _require_connected
+from .topology import Topology, _require_connected, _require_vertices
 
 __all__ = [
     "AdversarySpec",
@@ -294,9 +294,7 @@ def simulate(
     if max_delay < 1:
         raise ValueError(f"max_delay must be at least 1, got {max_delay}")
     members: frozenset[int] = adversary.members if adversary is not None else frozenset()
-    for v in members:
-        if not 1 <= v <= t.n:
-            raise ValueError(f"adversary member {v} outside 1..{t.n}")
+    _require_vertices(t, members, "adversary member")
 
     states = build_states(t, inputs, params)
     share_rngs = {i: SeededRng(seed, i) for i in t.vertices}

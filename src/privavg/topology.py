@@ -8,13 +8,11 @@ difference vectors are reported against it).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 __all__ = [
-    "IncidenceMatrix",
     "Topology",
     "connected_components",
     "incidence_matrix",
@@ -88,9 +86,7 @@ def connected_components(t: Topology, subset: Optional[Iterable[int]] = None) ->
         pool = set(t.vertices)
     else:
         pool = set(subset)
-        for v in pool:
-            if not 1 <= v <= t.n:
-                raise ValueError(f"vertex {v} outside 1..{t.n}")
+        _require_vertices(t, pool)
     comps = []
     remaining = set(pool)
     while remaining:
@@ -109,6 +105,12 @@ def connected_components(t: Topology, subset: Optional[Iterable[int]] = None) ->
     return comps
 
 
+def _require_vertices(t: Topology, vertices: Iterable[int], what: str = "vertex") -> None:
+    for v in vertices:
+        if not 1 <= v <= t.n:
+            raise ValueError(f"{what} {v} outside 1..{t.n}")
+
+
 def _format_components(comps: Iterable[frozenset[int]]) -> str:
     return " ".join("{" + ",".join(map(str, sorted(c))) + "}" for c in comps)
 
@@ -122,9 +124,7 @@ def _require_connected(t: Topology, what: str) -> None:
 def is_vertex_cut(t: Topology, cut: Iterable[int]) -> bool:
     """True iff deleting `cut` (a proper subset of V) disconnects the rest."""
     c = set(cut)
-    for v in c:
-        if not 1 <= v <= t.n:
-            raise ValueError(f"vertex {v} outside 1..{t.n}")
+    _require_vertices(t, c)
     if len(c) == t.n:
         raise ValueError("cut equals the whole vertex set; only proper subsets qualify")
     rest = set(t.vertices) - c
@@ -151,24 +151,14 @@ def vertex_connectivity(t: Topology) -> int:
     return t.n - 1
 
 
-@dataclass(frozen=True)
-class IncidenceMatrix:
-    """Signed node-by-edge incidence: +1 at the low endpoint, -1 at the high one."""
-
-    matrix: np.ndarray  # shape (n, |E|), dtype int8
-    edges: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        if self.matrix.shape != (self.matrix.shape[0], len(self.edges)):
-            raise ValueError("matrix shape disagrees with edge list")
-
-
-def incidence_matrix(t: Topology) -> IncidenceMatrix:
+def incidence_matrix(t: Topology) -> np.ndarray:
+    """Signed node-by-edge incidence, shape (n, |E|), int8: +1 at each edge's
+    low endpoint, -1 at its high one; columns follow `t.edges`."""
     m = np.zeros((t.n, len(t.edges)), dtype=np.int8)
     for col, (i, j) in enumerate(t.edges):
         m[i - 1, col] = 1
         m[j - 1, col] = -1
-    return IncidenceMatrix(matrix=m, edges=t.edges)
+    return m
 
 
 def _is_prime(p: int) -> bool:
@@ -193,7 +183,7 @@ def incidence_rank_mod_p(t: Topology, p: int) -> int:
     p = int(p)
     if not _is_prime(p):
         raise ValueError(f"rank over Z_p needs a prime modulus, got {p}")
-    a = incidence_matrix(t).matrix.astype(np.int64) % p
+    a = incidence_matrix(t).astype(np.int64) % p
     rows, cols = a.shape
     rank = 0
     for col in range(cols):

@@ -8,8 +8,9 @@ one share per `randint_below` call, as `init_shares` and the sampled audit did
 before they drew in bulk. `reference_enumerate_views` builds each chunk's view
 rows by an incidence-matrix product (`reference_view_rows`), counts them with
 `np.unique(axis=0)` and merges them one row at a time, and
-`reference_marginal_bins` bins sampled view keys one key at a time, as the
-audits did before they worked on int64 codes and columns. The fast paths in
+`reference_marginal_bins` and `reference_full_view_bins` bin sampled view
+keys one key at a time, as the audits did before they worked on
+mixed-radix codes and columns. The fast paths in
 `privavg` must reproduce them byte for byte.
 """
 from __future__ import annotations
@@ -295,7 +296,7 @@ def reference_enumerate_views(
     """Histogram of view rows: each chunk's unique rows by a row sort, added to
     the histogram one row at a time; rows of Python ints skip the sort."""
     total = _space_size(t, p, budget)
-    inc = incidence_matrix(t).matrix
+    inc = incidence_matrix(t)
     counts: dict[tuple, int] = {}
     for block in _b_chunks(len(t.edges), p, total):
         rows = reference_view_rows(inc, p, s, cols, block)
@@ -306,6 +307,11 @@ def reference_enumerate_views(
         for row, c in zip(_row_tuples(uniq), cnt.tolist()):
             counts[row] = counts.get(row, 0) + c
     return Histogram(counts)
+
+
+def reference_full_view_bins(rows: np.ndarray) -> Counter:
+    """Whole sampled view rows binned as tuples."""
+    return Counter(_row_tuples(rows))
 
 
 def reference_marginal_bins(

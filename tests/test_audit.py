@@ -21,6 +21,7 @@ from privavg.audit import (
     enumerate_view_distribution,
     histogram_csv,
     sampled_view_test,
+    _mask_uniformity_verdict,
     _row_tuples,
     _sample_view_rows,
 )
@@ -79,6 +80,10 @@ def test_mask_uniformity_verdicts():
     assert not v.passed
     assert v.details["support_size"] < v.details["expected_support"]
     assert check_mask_uniformity(Topology(1, []), 7).passed
+    # right support size and counts, but off the zero-sum plane
+    masks = enumerate_mask_distribution(triangle(), 3)
+    off = Histogram({((a + 1) % 3, b, c): k for (a, b, c), k in masks.counts.items()})
+    assert not _mask_uniformity_verdict(triangle(), 3, off).passed
 
 
 def test_mask_support_tracks_incidence_rank():
@@ -115,6 +120,8 @@ def test_effective_input_uniformity():
     v = check_effective_input_uniformity(t, 3, (1, 0, 2))
     assert v.passed
     assert v.details["sum_mod_p"] == 0
+    v = check_effective_input_uniformity(t, 3, (1, 1, 2))
+    assert v.passed and v.details["sum_mod_p"] == 1
 
     # zero inputs leave the mask histogram untouched
     empty = AdversarySpec(members=frozenset())
@@ -288,6 +295,8 @@ def test_group_privacy_preconditions():
         check_group_privacy(t, 3, adv, {2, 3}, (1, 2, 0), (1, 2, 0))
     with pytest.raises(ValueError, match="non-empty"):
         check_group_privacy(t, 3, adv, set(), (1, 2, 0), (1, 2, 0))
+    with pytest.raises(ValueError, match="outside"):
+        check_group_privacy(t, 3, AdversarySpec(frozenset({99})), {1, 2}, (1, 2, 0), (2, 1, 0))
 
 
 def test_enumeration_budget_error_names_the_fallback():
@@ -354,6 +363,12 @@ def test_sampled_view_needs_enough_samples():
             triangle(), 30, AdversarySpec(members=frozenset({3})),
             (4, 7, 3), (5, 6, 3), samples=0, alpha=0.01,
         )
+    for alpha in (0, -1, 1, float("nan")):
+        with pytest.raises(ValueError, match="alpha"):
+            sampled_view_test(
+                triangle(), 30, AdversarySpec(members=frozenset({3})),
+                (4, 7, 3), (5, 6, 3), samples=50, alpha=alpha,
+            )
 
 
 def test_sampler_draws_match_the_share_exchange_machinery():

@@ -290,3 +290,83 @@ def test_budget_past_int64_codes_exits_one_naming_size(tmp_path, capsys):
     assert len(err) == 1
     assert err[0].startswith(f"error: enumeration needs {p} b-vectors")
     assert "2^63" in err[0]
+
+
+GROUP_CFG = """\
+[experiment]
+p = 5
+
+[topology]
+n = 4
+edges = 1,2 2,3 3,4 1,4
+
+[inputs]
+values = 1 2 3 4
+
+[adversary]
+members = 99
+
+[audit]
+claim = group-privacy
+s_prime = 2 1 3 4
+group = 1 2
+"""
+
+
+def test_group_privacy_coalition_outside_the_graph_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "group.cfg"
+    cfg.write_text(GROUP_CFG)
+    assert main(["audit", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: coalition member 99 outside 1..4"]
+
+
+LEAK_CFG = """\
+[experiment]
+p = 11
+
+[topology]
+n = 3
+edges = 1,2 2,3
+
+[inputs]
+values = 1 0 2
+
+[adversary]
+members = 2
+
+[audit]
+claim = sampled-view
+s_prime = 2 0 1
+samples = {samples}
+{alpha}
+"""
+
+
+@pytest.mark.parametrize(
+    "alpha_line, flags",
+    [("alpha = 0", []), ("alpha = -1", []), ("", ["--alpha", "0"]), ("", ["--alpha", "-1"])],
+    ids=["config-0", "config-minus-1", "flag-0", "flag-minus-1"],
+)
+def test_alpha_outside_the_unit_interval_exits_one(tmp_path, capsys, alpha_line, flags):
+    # listener 2 cuts the path: the pair leaks (p-value 0), which alpha <= 0 would pass
+    cfg = tmp_path / "leak.cfg"
+    cfg.write_text(LEAK_CFG.format(samples=2000, alpha=alpha_line))
+    assert main(["audit", "--config", str(cfg), *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: alpha ")
+
+
+def test_samples_below_one_exits_two_naming_line(tmp_path, capsys):
+    cfg = tmp_path / "leak.cfg"
+    cfg.write_text(LEAK_CFG.format(samples=0, alpha=""))
+    assert main(["audit", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "config error: line 17: [audit] samples: expected an integer >= 1, got 0"
+    ]

@@ -8,12 +8,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from collections import Counter
+
 from privavg.audit import (
     EnumerationBudgetError,
+    _bins,
     _coalition_edges,
+    _count_rows,
+    _digits,
     _marginal_bins,
     _row_tuples,
     _sample_view_rows,
+    _two_sample_chi_square,
     enumerate_mask_distribution,
     enumerate_view_distribution,
 )
@@ -27,6 +33,7 @@ from conftest import path3, random_connected_topology, ten_node_three_separators
 from reference import (
     reference_delivery_schedule,
     reference_enumerate_views,
+    reference_full_view_bins,
     reference_marginal_bins,
     reference_gossip_avg,
     reference_sample_view_keys,
@@ -223,6 +230,50 @@ def test_sample_view_keys_match_the_per_sample_loop(p):
             assert fast_rngs[i].randint_below(2**32) == slow_rngs[i].randint_below(2**32)
 
 
+@pytest.mark.parametrize("p", [2, 5, 40009, 2**31 - 1, 2**64 - 59])
+def test_count_rows_codes_sort_as_row_tuples(p):
+    # widths on both sides of p^width = 2^63, where codes turn into Python ints
+    rnd = random.Random(p % 10007)
+    limit = next(w for w in itertools.count(1) if p**w >= 2**63)
+    for width in sorted({1, 2, limit - 1, limit, limit + 1} - {0}):
+        values = [rnd.randrange(p), p - 1, 0] if p > 3 else list(range(p))
+        keys = [tuple(rnd.choice(values) for _ in range(width)) for _ in range(200)]
+        rows = np.array(keys, dtype=np.int64 if p < 2**63 else object)
+        codes, counts = _count_rows(rows, p)
+        assert codes.dtype == (np.int64 if p**width < 2**63 else object)
+        assert codes.tolist() == sorted(codes.tolist())
+        decoded = list(_row_tuples(_digits(codes, p, width)[:, ::-1]))
+        assert decoded == sorted(set(keys))
+        assert dict(zip(decoded, counts.tolist())) == Counter(keys)
+        assert all(type(x) is int for key in decoded for x in key)
+
+
+def _full_view_cases():
+    # (graph, coalition, s, s', p); the last has 40 vertices at p = 3, so its
+    # views need Python-int codes (3^40 >= 2^63) while their space stays small
+    wide = Topology(40, [(1, 2), (2, 3), (3, 4)])
+    s = (2, 0, 1, 1) + (0,) * 36
+    return [
+        (path3(), frozenset({3}), (1, 2, 0), (2, 1, 0), 3),
+        (Topology(4, [(1, 2), (2, 3), (3, 4), (1, 4)]), frozenset({1}), (0, 1, 2, 0), (0, 2, 1, 0), 3),
+        (path3(), frozenset({2}), (1, 0, 2), (2, 0, 1), 5),
+        (wide, frozenset(), s, (0, 1, 1, 2) + (0,) * 36, 3),
+    ]
+
+
+def test_full_view_chi_square_matches_tuple_bins():
+    for k, (t, members, s, s_prime, p) in enumerate(_full_view_cases()):
+        cols = _coalition_edges(t, members)
+        rows = [
+            _sample_view_rows(t, p, vec, cols, {i: SeededRng(k, (idx, i)) for i in t.vertices}, 2000)
+            for idx, vec in enumerate((s, s_prime))
+        ]
+        assert (_count_rows(rows[0], p)[0].dtype == object) == (t.n == 40)
+        fast = _two_sample_chi_square(*(_bins(r, p) for r in rows))
+        slow = _two_sample_chi_square(*(reference_full_view_bins(r) for r in rows))
+        assert fast == slow
+
+
 def _views_both(t, p, members, s, budget=10**7):
     """(fast histogram, reference histogram) of one coalition's views."""
     fast = enumerate_view_distribution(t, p, AdversarySpec(members), s, budget)
@@ -287,7 +338,7 @@ def test_enumeration_merges_interleaved_codes_across_chunks():
 
 
 def test_enumeration_past_int64_codes_counts_rows_as_tuples():
-    # p^width >= 2^63 but the rows themselves are int64: the tuple fallback
+    # p^width >= 2^63 but the rows themselves are int64: Python-int codes
     p = 2**31 - 1
     t = Topology(3, [])
     fast, slow = _views_both(t, p, (), (1, p - 1, 7))
