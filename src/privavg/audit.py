@@ -8,12 +8,14 @@ instead of the quadratically larger raw share space. Enumeration walks the
 space in chunks of 2^15 rows; each view row becomes one mixed-radix code
 (a Python int once p^width reaches 2^63, else int64), each chunk is counted
 with one 1-D sort and merged into a running sorted (code, count) pair, so
-memory follows the support, not p^|E|; the codes are decoded into outcome
-tuples once at the end, and sampled views are binned on the same codes. The
-default budget (10^7 rows, e.g. a 6-vertex graph with 10 edges at p = 5)
-takes about 1.6 s on a 2-core x86 box. When the space is too big, a seeded two-sample
-chi-square over binned coalition views stands in; negative controls
-(coalitions that cut the graph) must visibly leak there.
+memory follows the support, not p^|E|. The resulting histogram keeps the
+sorted (code, count) arrays: verdicts compare and count on them, and outcome
+tuples are decoded only on demand (histogram.csv, library callers). Sampled
+views are binned on the same codes. The default budget (10^7 rows, e.g. a
+6-vertex graph with 10 edges at p = 5) takes about 1.6 s on a 2-core x86 box.
+When the space is too big, a seeded two-sample chi-square over binned
+coalition views stands in; negative controls (coalitions that cut the graph)
+must visibly leak there.
 """
 from __future__ import annotations
 
@@ -48,11 +50,49 @@ class EnumerationBudgetError(ValueError):
     """The b-vector space is too large to enumerate; use sampled_view_test."""
 
 
+class _CodeCounts(Mapping):
+    """Outcome tuple -> count, held as sorted, duplicate-free mixed-radix codes
+    (base p, `width` digits, first digit most significant; see _count_rows)
+    with a parallel count array. The tuples are decoded on first iteration or
+    lookup; len() and equality with another such mapping read the arrays."""
+
+    def __init__(self, codes: np.ndarray, counts: np.ndarray, p: int, width: int) -> None:
+        self.codes, self.counts, self.p, self.width = codes, counts, p, width
+        self._decoded: Optional[dict[tuple, int]] = None
+
+    def rows(self) -> np.ndarray:
+        # the outcomes as digit rows, most significant digit first
+        return _digits(self.codes, self.p, self.width)[:, ::-1]
+
+    def decoded(self) -> dict[tuple, int]:
+        if self._decoded is None:
+            self._decoded = dict(zip(_row_tuples(self.rows()), self.counts.tolist()))
+        return self._decoded
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __iter__(self) -> Iterator[tuple]:
+        return iter(self.decoded())
+
+    def __getitem__(self, outcome: tuple) -> int:
+        return self.decoded()[outcome]
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, _CodeCounts) and (self.p, self.width) == (other.p, other.width):
+            return np.array_equal(self.codes, other.codes) and np.array_equal(self.counts, other.counts)
+        return self.decoded() == other
+
+    def __repr__(self) -> str:
+        return repr(self.decoded())
+
+
 @dataclass
 class Histogram:
-    """Counts per canonically serialized outcome tuple."""
+    """Counts per outcome tuple. Enumerated histograms hold them as sorted
+    view codes and decode tuples only when `counts` is iterated or indexed."""
 
-    counts: dict[tuple, int] = field(default_factory=dict)
+    counts: Mapping[tuple, int] = field(default_factory=dict)
 
     @property
     def total(self) -> int:
@@ -60,6 +100,13 @@ class Histogram:
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Histogram) and self.counts == other.counts
+
+    def _table(self) -> tuple[np.ndarray, np.ndarray]:
+        # (outcome rows, counts) as arrays, with no tuples for enumerated ones
+        c = self.counts
+        if isinstance(c, _CodeCounts):
+            return c.rows(), c.counts
+        return np.array(list(c), dtype=object), np.array(list(c.values()), dtype=object)
 
 
 @dataclass
@@ -215,8 +262,7 @@ def _enumerate_views(t: Topology, p: int, s: Sequence[int], cols: list[int], bud
     codes, counts = _count_rows(_view_rows(t, p, s, cols, next(chunks)), p)
     for b in chunks:
         codes, counts = _merge_counts(codes, counts, *_count_rows(_view_rows(t, p, s, cols, b), p))
-    rows = _digits(codes, p, t.n + len(cols))[:, ::-1]  # most significant digit first
-    return Histogram(dict(zip(_row_tuples(rows), counts.tolist())))
+    return Histogram(_CodeCounts(codes, counts, p, t.n + len(cols)))
 
 
 def enumerate_mask_distribution(t: Topology, p, budget: int = DEFAULT_BUDGET) -> Histogram:
@@ -238,7 +284,7 @@ def _mask_uniformity_verdict(t: Topology, pv: int, hist: Histogram) -> AuditVerd
     # the verdict of check_mask_uniformity from an already enumerated histogram
     return _coset_uniformity_verdict(
         "mask-uniformity", t, pv, hist, 0,
-        count_values=sorted(set(hist.counts.values())),
+        count_values=np.unique(hist._table()[1]).tolist(),
         components=len(connected_components(t)),
     )
 
@@ -248,11 +294,12 @@ def _coset_uniformity_verdict(
 ) -> AuditVerdict:
     # outcomes uniform on the coset of vectors summing to `target` mod p, s + Im B
     # on a connected graph: p^(n-1) outcomes, p^(|E|-n+1) rows each; masks are s = 0
+    rows, counts = hist._table()
     expected_support = pv ** (t.n - 1)
     passed = (
-        len(hist.counts) == expected_support
-        and set(hist.counts.values()) == {pv ** (len(t.edges) - t.n + 1)}
-        and all(sum(v) % pv == target for v in hist.counts)
+        len(counts) == expected_support
+        and np.unique(counts).tolist() == [pv ** (len(t.edges) - t.n + 1)]
+        and bool((rows.sum(axis=1) % pv == target).all())
     )
     return AuditVerdict(
         claim=claim,
@@ -260,7 +307,7 @@ def _coset_uniformity_verdict(
         passed=passed,
         details={
             "p": pv,
-            "support_size": len(hist.counts),
+            "support_size": len(counts),
             "expected_support": expected_support,
             **details,
         },
@@ -473,12 +520,24 @@ def _marginal_bins(rows: np.ndarray, p: int, honest: list[int], num_cols: int) -
     return [_bins(column[:, None], p) for column in columns]
 
 
-def chi2_contingency(*args, **kwargs):
-    """`scipy.stats.chi2_contingency`, imported on first call: scipy.stats is
-    most of the package's import time and memory, and only sampled audits use it."""
-    from scipy.stats import chi2_contingency as scipy_chi2_contingency
+def chi2_contingency(table: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """Pearson's chi-square test of independence on a 2×k table of counts with
+    no empty column, without continuity correction: (statistic, p-value,
+    expected table).
 
-    return scipy_chi2_contingency(*args, **kwargs)
+    The expected table is the outer product of the row and column sums divided
+    by the total; the statistic is ((o − e)**2 / e).sum() and the p-value the
+    chi-square survival function at k − 1 degrees of freedom,
+    `scipy.special.chdtrc`. These are the float operations of
+    `scipy.stats.chi2_contingency(table, correction=False)` in the same order,
+    so all three agree with it bit for bit. scipy.special is imported on first
+    call; only sampled audits need it."""
+    from scipy.special import chdtrc
+
+    observed = np.asarray(table, dtype=np.float64)
+    expected = np.outer(observed.sum(axis=1), observed.sum(axis=0)) / observed.sum()
+    statistic = ((observed - expected) ** 2 / expected).sum()
+    return statistic, chdtrc(observed.shape[1] - 1, statistic), expected
 
 
 def _two_sample_chi_square(bins_a: Mapping, bins_b: Mapping) -> tuple[float, float]:
@@ -488,13 +547,13 @@ def _two_sample_chi_square(bins_a: Mapping, bins_b: Mapping) -> tuple[float, flo
     table = np.array(
         [[bins_a.get(o, 0) for o in outcomes], [bins_b.get(o, 0) for o in outcomes]]
     )
-    res = chi2_contingency(table, correction=False)
-    if res.expected_freq.min() < 5:
+    statistic, pvalue, expected = chi2_contingency(table)
+    if expected.min() < 5:
         raise ValueError(
-            f"expected count {res.expected_freq.min():.2f} below 5 in some bin; "
+            f"expected count {expected.min():.2f} below 5 in some bin; "
             "increase samples or reduce p"
         )
-    return float(res.statistic), float(res.pvalue)
+    return float(statistic), float(pvalue)
 
 
 def sampled_view_test(

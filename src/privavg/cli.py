@@ -440,6 +440,8 @@ def main(argv: Optional[list[str]] = None) -> int:
                 max_rounds=cfg.algo.max_rounds,
             )
         if getattr(args, "samples", None) is not None:
+            if args.samples < 1:
+                raise ConfigError(f"--samples: expected an integer >= 1, got {args.samples}")
             cfg.samples = args.samples
         if getattr(args, "alpha", None) is not None:
             cfg.alpha = args.alpha

@@ -370,3 +370,16 @@ def test_samples_below_one_exits_two_naming_line(tmp_path, capsys):
     assert captured.err.splitlines() == [
         "config error: line 17: [audit] samples: expected an integer >= 1, got 0"
     ]
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_samples_flag_below_one_exits_two_naming_the_flag(tmp_path, capsys, samples):
+    # the same check as the [audit] samples key, before any audit runs
+    cfg = tmp_path / "leak.cfg"
+    cfg.write_text(LEAK_CFG.format(samples=2000, alpha=""))
+    assert main(["audit", "--config", str(cfg), "--samples", samples]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"config error: --samples: expected an integer >= 1, got {samples}"
+    ]

@@ -77,3 +77,43 @@ def test_import_does_not_load_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+SAMPLED_CFG = """\
+[experiment]
+seed = 3
+p = 5
+
+[topology]
+n = 3
+edges = 1,2 2,3
+
+[inputs]
+values = 1 0 2
+
+[adversary]
+members = 2
+
+[audit]
+claim = sampled-view
+s_prime = 2 0 1
+samples = 2000
+"""
+
+
+def test_sampled_audit_does_not_load_scipy_stats(tmp_path):
+    # the chi-square needs scipy.special only; scipy.stats would more than
+    # double the audit's peak memory
+    cfg = tmp_path / "sampled.cfg"
+    cfg.write_text(SAMPLED_CFG)
+    proc = _python(
+        "-c",
+        "import sys; from privavg.cli import main; "
+        f"status = main(['audit', '--config', {str(cfg)!r}]); "
+        "print(status, 'scipy.special' in sys.modules, "
+        "sorted(k for k in sys.modules if k == 'scipy.stats' or k.startswith('scipy.stats.')))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    # listener 2 cuts the path, so the chi-square runs and rejects
+    assert proc.stdout.splitlines()[-1] == "1 True []"
+    assert "method chi_square" in proc.stdout

@@ -12,16 +12,20 @@ from collections import Counter
 
 from privavg.audit import (
     EnumerationBudgetError,
+    Histogram,
     _bins,
     _coalition_edges,
     _count_rows,
     _digits,
     _marginal_bins,
+    _mask_uniformity_verdict,
     _row_tuples,
     _sample_view_rows,
     _two_sample_chi_square,
+    chi2_contingency,
     enumerate_mask_distribution,
     enumerate_view_distribution,
+    histogram_csv,
 )
 from privavg.consensus import ConsensusAlgo, ConvergenceError, gossip_avg
 from privavg.masking import AgentState, PhaseDoneMsg, ProtocolParams, init_shares
@@ -389,3 +393,108 @@ def test_marginal_honest_sum_past_int64():
     fast = _marginal_bins(rows, p, list(t.vertices), 0)
     assert fast == reference_marginal_bins(list(_row_tuples(rows)), p, list(t.vertices), 0)
     assert fast == [{sum(s) % p: 50}]
+
+
+def test_chi2_contingency_matches_scipy_bit_for_bit():
+    from scipy.stats import chi2_contingency as scipy_chi2_contingency
+
+    rng = np.random.default_rng(2026)
+    for _ in range(300):
+        k = int(rng.integers(2, 401))
+        table = rng.integers(0, int(rng.choice([6, 60, 5000])), size=(2, k))
+        table[:, table.sum(axis=0) == 0] = 1  # no empty column
+        statistic, pvalue, expected = chi2_contingency(table)
+        res = scipy_chi2_contingency(table, correction=False)
+        assert statistic == res.statistic
+        assert pvalue == res.pvalue
+        assert expected.min() == res.expected_freq.min()
+        assert np.array_equal(expected, res.expected_freq)
+
+
+def test_two_sample_chi_square_refuses_small_expected_counts():
+    with pytest.raises(ValueError, match="expected count 2.50 below 5"):
+        _two_sample_chi_square({0: 3, 1: 2}, {0: 2, 1: 3})
+    assert _two_sample_chi_square({4: 9}, {4: 7}) == (0.0, 1.0)
+    stat, pvalue = _two_sample_chi_square({0: 30, 1: 20}, {0: 20, 1: 30})
+    assert stat == 4.0 and 0.045 < pvalue < 0.046
+
+
+def _moved_inputs(s, p, honest):
+    # one unit moved between two honest agents: equal honest sums
+    moved = list(s)
+    if len(honest) >= 2:
+        moved[honest[0] - 1] = (moved[honest[0] - 1] + 1) % p
+        moved[honest[-1] - 1] = (moved[honest[-1] - 1] - 1) % p
+    return tuple(moved)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_code_histograms_compare_like_tuple_histograms(p):
+    # every labelled graph on up to 4 vertices, no coalition and each single
+    # vertex: equality, support size and histogram.csv from the code arrays
+    # against the reference's tuple dicts
+    rnd = random.Random(100 + p)
+    verdicts = set()
+    for n in range(1, 5):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for r in range(len(pairs) + 1):
+            for edges in itertools.combinations(pairs, r):
+                t = Topology(n, list(edges))
+                s = tuple(rnd.randrange(p) for _ in range(n))
+                for members in [()] + [(i,) for i in t.vertices]:
+                    honest = [i for i in t.vertices if i not in members]
+                    fast, slow = _views_both(t, p, members, s)
+                    drawn = tuple(rnd.randrange(p) for _ in range(n))
+                    for other in (_moved_inputs(s, p, honest), drawn):
+                        fast_other, slow_other = _views_both(t, p, members, other)
+                        assert (fast == fast_other) == (slow == slow_other)
+                        assert (fast != fast_other) == (slow != slow_other)
+                        verdicts.add(fast == fast_other)
+                    assert len(fast.counts) == len(slow.counts)
+                    assert fast.counts._decoded is None  # no tuples so far
+                    assert histogram_csv(fast) == histogram_csv(slow)
+    assert verdicts == {True, False}
+
+
+def test_code_histograms_compare_past_int64_codes():
+    # 40 vertices at p = 3: 3^40 >= 2^63, so the codes are Python ints
+    t = Topology(40, [(1, 2), (2, 3), (3, 4)])
+    s = (2, 0, 1, 1) + (0,) * 36
+    same_sum = (0, 1, 1, 2) + (0,) * 36  # same sum on the component of 1..4
+    other = (1, 0, 1, 1) + (0,) * 36
+    for members, expect_same in [((), True), ((2,), False)]:
+        fast, slow = _views_both(t, 3, members, s)
+        assert fast.counts.codes.dtype == object
+        fast_same, slow_same = _views_both(t, 3, members, same_sum)
+        assert (fast == fast_same) == (slow == slow_same) == expect_same
+        fast_other, slow_other = _views_both(t, 3, members, other)
+        assert (fast != fast_other) and (slow != slow_other)
+        assert len(fast.counts) == len(slow.counts) and fast.counts._decoded is None
+        assert histogram_csv(fast) == histogram_csv(slow)
+
+
+def test_dict_histograms_compare_with_enumerated_ones():
+    p = 5
+    hist = enumerate_mask_distribution(Topology(2, [(1, 2)]), p)
+    built = Histogram({(k, (-k) % p): 1 for k in range(p)})
+    assert hist == built and built == hist
+    assert hist.counts == built.counts and built.counts == hist.counts
+    assert hist != Histogram({(0, 0): p}) and Histogram({(0, 0): p}) != hist
+    # code arrays: equal codes with other counts, or another width, differ;
+    # another p compares the tuples
+    triangle = Topology(3, [(1, 2), (2, 3), (1, 3)])
+    assert enumerate_mask_distribution(triangle, 3) != enumerate_mask_distribution(path3(), 3)
+    zeros = [enumerate_mask_distribution(Topology(n, []), 3) for n in (2, 3)]
+    assert zeros[0].counts.codes.tolist() == zeros[1].counts.codes.tolist() and zeros[0] != zeros[1]
+    ones = [enumerate_view_distribution(Topology(2, []), q, AdversarySpec(()), (1, 1)) for q in (2, 3)]
+    assert ones[0].counts.codes.tolist() != ones[1].counts.codes.tolist() and ones[0] == ones[1]
+    # the coset verdict reads a dict-built histogram as it reads the arrays
+    for t in (triangle, Topology(4, [(1, 2), (3, 4)])):
+        masks = enumerate_mask_distribution(t, 3)
+        rebuilt = Histogram(dict(masks.counts))
+        from_dict = _mask_uniformity_verdict(t, 3, rebuilt)
+        assert from_dict.to_text() == _mask_uniformity_verdict(t, 3, masks).to_text()
+    uneven = dict(enumerate_mask_distribution(triangle, 3).counts)
+    uneven[(0, 0, 0)] += 1
+    verdict = _mask_uniformity_verdict(triangle, 3, Histogram(uneven))
+    assert not verdict.passed and verdict.details["count_values"] == [3, 4]

@@ -1,7 +1,10 @@
-"""The package's public names are the README's list, and the demos use no others."""
+"""The package's public names are the README's list, the demos use no others,
+and every function the benchmark tracer wraps exists."""
 from __future__ import annotations
 
 import ast
+import importlib
+import importlib.util
 import re
 from pathlib import Path
 
@@ -39,3 +42,19 @@ def test_demos_import_only_public_names():
 def test_readme_library_use_example_runs():
     (code,) = re.findall(r"```python\n(.*?)```", _section("Library use"), re.S)
     exec(compile(code, "README.md", "exec"), {})
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps():
+    # bench/tracing.py skips a name the package no longer has, so a rename
+    # would silently drop that layer from the per-layer metrics
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.SPANNED
+    for modname, attr, _ in tracing.SPANNED:
+        assert modname.startswith("privavg."), modname
+        owner = importlib.import_module(modname)
+        for part in attr.split("."):
+            assert hasattr(owner, part), f"{modname} has no {attr}"
+            owner = getattr(owner, part)
+        assert callable(owner), f"{modname}.{attr}"
