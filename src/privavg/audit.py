@@ -102,11 +102,14 @@ class Histogram:
         return isinstance(other, Histogram) and self.counts == other.counts
 
     def _table(self) -> tuple[np.ndarray, np.ndarray]:
-        # (outcome rows, counts) as arrays, with no tuples for enumerated ones
+        # (outcome rows, counts) as arrays in outcome order, with no tuples
+        # for enumerated ones, whose codes already sort as the outcomes do
         c = self.counts
         if isinstance(c, _CodeCounts):
             return c.rows(), c.counts
-        return np.array(list(c), dtype=object), np.array(list(c.values()), dtype=object)
+        items = sorted(c.items())
+        return (np.array([o for o, _ in items], dtype=object),
+                np.array([k for _, k in items], dtype=object))
 
 
 @dataclass
@@ -141,11 +144,13 @@ class AuditVerdict:
 
 
 def histogram_csv(hist: Histogram) -> str:
-    rows = ["outcome,count"]
-    for outcome in sorted(hist.counts):
-        flat = " ".join(str(x) for x in outcome)
-        rows.append(f"\"{flat}\",{hist.counts[outcome]}")
-    return "\n".join(rows) + "\n"
+    rows, counts = hist._table()
+    lines = ["outcome,count"]
+    lines += [
+        f"\"{' '.join(map(str, row))}\",{count}"
+        for row, count in zip(rows.tolist(), counts.tolist())
+    ]
+    return "\n".join(lines) + "\n"
 
 
 def _as_modulus_value(p) -> int:

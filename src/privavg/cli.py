@@ -278,7 +278,7 @@ def parse_config(text: str, base_dir: str | Path = ".") -> ExperimentConfig:
         q2=fields.integer("experiment", "q2"),
         p=fields.integer("experiment", "p"),
         schedule_seed=fields.integer("experiment", "schedule_seed"),
-        max_delay=fields.integer("experiment", "max_delay", ExperimentConfig.max_delay),
+        max_delay=fields.integer("experiment", "max_delay", ExperimentConfig.max_delay, minimum=1),
         audit_claim=fields.word("audit", "claim", set(AUDIT_CLAIMS)),
         audit_s_prime=fields.int_list("audit", "s_prime"),
         samples=fields.integer("audit", "samples", minimum=1),

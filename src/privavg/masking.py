@@ -17,7 +17,6 @@ __all__ = [
     "AgentState",
     "EdgeDifference",
     "MaskShareMsg",
-    "PhaseDoneMsg",
     "ProtocolError",
     "ProtocolParams",
     "build_states",
@@ -66,15 +65,6 @@ class MaskShareMsg:
     sender: int
     receiver: int
     share: Residue
-
-
-@dataclass(frozen=True)
-class PhaseDoneMsg:
-    """Completion notice flooded through the graph, deduplicated by origin."""
-
-    origin: int
-    sender: int
-    receiver: int
 
 
 @dataclass(frozen=True)
@@ -189,7 +179,6 @@ def receive_share(state: AgentState, msg: MaskShareMsg) -> Optional[tuple[Residu
         )
     state.received_shares[msg.sender] = msg.share
     if state._maybe_finish():
-        assert state.mask is not None and state.effective_input is not None
         return state.mask, state.effective_input
     return None
 

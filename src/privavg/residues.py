@@ -21,6 +21,7 @@ __all__ = [
 ]
 
 _U64 = 2**64
+BLOCK = 256  # words per refill of a stream's scalar-draw buffer
 
 
 class ModulusMismatchError(ValueError):
@@ -121,6 +122,10 @@ class SeededRng:
     consumed via the bit generator's raw output. Residues are drawn by masking
     a word to the smallest power-of-two range covering p and rejecting
     out-of-range words, so every residue is exactly equally likely.
+
+    Scalar draws take words from a buffer refilled `BLOCK` words at a time;
+    `random_raw(k)` yields the same words as k single calls, and bulk draws
+    use up the buffer first, so every draw still reads the stream in order.
     """
 
     def __init__(self, seed: int, stream: Union[int, tuple] = 0):
@@ -132,31 +137,42 @@ class SeededRng:
         self.seed = seed
         self.stream = key if len(key) != 1 else key[0]
         self._raw = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)).random_raw
+        self._words: list[int] = []  # buffered words, the next one last
 
     def randint_below(self, n: int) -> int:
         """Uniform integer in [0, n) by masked rejection; n must fit in 64 bits."""
         mask = _range_mask(n)
         if not mask:
             return 0
+        words = self._words
         while True:
-            word = int(self._raw()) & mask
+            if not words:
+                words.extend(reversed(self._raw(BLOCK).tolist()))
+            word = words.pop() & mask
             if word < n:
                 return word
 
     def randints_below(self, n: int, k: int) -> np.ndarray:
         """The `k` integers that `k` calls of `randint_below(n)` would return,
-        as a uint64 array. Each round draws only the shortfall, so no word past
-        the k-th accepted one is consumed and the stream stays in step."""
-        mask = np.uint64(_range_mask(n))
+        as a uint64 array. Buffered words go first; then each round draws only
+        the shortfall, so no word past the k-th accepted one is consumed and
+        the stream stays in step."""
+        mask = _range_mask(n)
         if not mask:
             return np.zeros(k, dtype=np.uint64)
-        kept = []
-        need = k
+        words = self._words
+        head = []
+        while words and len(head) < k:
+            word = words.pop() & mask
+            if word < n:
+                head.append(word)
+        kept = [np.array(head, dtype=np.uint64)] if head else []
+        need = k - len(head)
         while need:
-            words = self._raw(need) & mask
-            words = words[words < np.uint64(n)]
-            kept.append(words)
-            need -= len(words)
+            drawn = self._raw(need) & np.uint64(mask)
+            drawn = drawn[drawn < np.uint64(n)]
+            kept.append(drawn)
+            need -= len(drawn)
         return np.concatenate(kept) if kept else np.empty(0, dtype=np.uint64)
 
     def randrange(self, lo: int, hi: int) -> int:

@@ -12,15 +12,14 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 from .consensus import ConsensusAlgo, InvariantError, finalize, gossip_avg
 from .masking import (
     AgentState,
     MaskShareMsg,
-    PhaseDoneMsg,
     ProtocolParams,
     build_states,
     edge_differences,
@@ -36,33 +35,29 @@ __all__ = [
     "AdversaryView",
     "RunReport",
     "SimEvent",
-    "ValueMsg",
     "delivery_schedule",
     "simulate",
 ]
 
 
-@dataclass(frozen=True)
-class ValueMsg:
-    """Phase-2 flooded (origin, effective value) pair."""
+class SimEvent(NamedTuple):
+    """One pending delivery, as one flat record.
 
-    origin: int
-    value: int
-    sender: int
-    receiver: int
-
-
-Payload = Union[MaskShareMsg, PhaseDoneMsg, ValueMsg]
-
-
-@dataclass(frozen=True, order=True)
-class SimEvent:
-    """One pending delivery; the (time, seq) pair is the processing order key."""
+    `time` is the delivery tick and `seq` the send order; (time, seq) is
+    unique and orders deliveries, and the benchmark tracer reads `.time` off
+    every queued event. `kind` is "share", "done" or "value". A share carries
+    its `MaskShareMsg` as `payload` (origin = sender); a completion notice
+    names the agent that finished in `origin` (payload None); a flooded
+    value names its origin agent and carries the effective input as `payload`.
+    """
 
     time: int
     seq: int
-    kind: str = field(compare=False)
-    msg: Payload = field(compare=False)
+    kind: str
+    sender: int
+    receiver: int
+    origin: int
+    payload: Union[MaskShareMsg, int, None]
 
 
 @dataclass(frozen=True)
@@ -293,13 +288,15 @@ def simulate(
         )
     if max_delay < 1:
         raise ValueError(f"max_delay must be at least 1, got {max_delay}")
+    if max_delay >= 2**64:
+        raise ValueError(f"max_delay must be below 2**64, got {max_delay}")
     members: frozenset[int] = adversary.members if adversary is not None else frozenset()
     _require_vertices(t, members, "adversary member")
 
     states = build_states(t, inputs, params)
     share_rngs = {i: SeededRng(seed, i) for i in t.vertices}
     sched = SeededRng(seed if schedule_seed is None else schedule_seed, 0)
-    everyone = set(t.vertices)
+    nbrs = {i: sorted(t.neighbors(i)) for i in t.vertices}
 
     # per-tick delivery lists in seq order, plus a heap of their ticks; delays
     # are at least one tick, so nothing joins the tick being drained
@@ -311,40 +308,45 @@ def simulate(
     transcript: list[str] = []
     flood_values: dict[int, dict[int, int]] = {i: {} for i in t.vertices}
 
-    def send(now: int, kind: str, msg: Payload) -> None:
+    def send(
+        now: int, kind: str, sender: int, receiver: int, origin: int,
+        payload: Union[MaskShareMsg, int, None],
+    ) -> None:
         nonlocal seq
         at = now + sched.randrange(1, max_delay)
         due = due_at.get(at)
         if due is None:
             due = due_at[at] = []
             heapq.heappush(due_ticks, at)
-        due.append(SimEvent(at, seq, kind, msg))
+        due.append(SimEvent(at, seq, kind, sender, receiver, origin, payload))
         seq += 1
         counts[kind] += 1
 
     def start_phase2(i: int, now: int) -> None:
         if algo.variant != "flood_sum":
             return
-        st = states[i]
-        assert st.effective_input is not None
-        flood_values[i][i] = int(st.effective_input)
-        for nbr in sorted(t.neighbors(i)):
-            send(now, "value", ValueMsg(origin=i, value=int(st.effective_input), sender=i, receiver=nbr))
+        effective = states[i].effective_input
+        if effective is None:
+            raise InvariantError(f"agent {i} finished phase 1 without an effective input")
+        value = int(effective)
+        flood_values[i][i] = value
+        for nbr in nbrs[i]:
+            send(now, "value", i, nbr, i, value)
 
     def mark_done(agent: int, origin: int, came_from: Optional[int], now: int) -> None:
-        st = states[agent]
-        if origin in st.completed_peers:
+        peers = states[agent].completed_peers
+        if origin in peers:
             return
-        st.completed_peers.add(origin)
-        for nbr in sorted(st.neighbors):
+        peers.add(origin)
+        for nbr in nbrs[agent]:
             if nbr != came_from:
-                send(now, "done", PhaseDoneMsg(origin=origin, sender=agent, receiver=nbr))
-        if st.completed_peers == everyone:
+                send(now, "done", agent, nbr, origin, None)
+        if len(peers) == t.n:
             start_phase2(agent, now)
 
     for i in sorted(t.vertices):
         for msg in init_shares(states[i], share_rngs[i], share_override):
-            send(0, "share", msg)
+            send(0, "share", msg.sender, msg.receiver, msg.sender, msg)
     for i in sorted(t.vertices):
         if states[i].mask is not None:  # isolated in a 1-vertex graph: done at once
             mark_done(i, i, None, 0)
@@ -353,32 +355,27 @@ def simulate(
     while due_ticks:
         ticks = due_ticks[0]
         due = due_at[ticks]
-        ev = delivery_schedule(sched, due)
+        at, order, kind, sender, receiver, origin, payload = delivery_schedule(sched, due)
         if not due:
             heapq.heappop(due_ticks)
             del due_at[ticks]
-        msg = ev.msg
-        if ev.kind == "share":
-            assert isinstance(msg, MaskShareMsg)
-            line = f"{ev.time} {ev.seq} share {msg.sender} {msg.receiver} {int(msg.share)}"
-            done = receive_share(states[msg.receiver], msg)
-            if done is not None:
-                mark_done(msg.receiver, msg.receiver, None, ev.time)
-        elif ev.kind == "done":
-            assert isinstance(msg, PhaseDoneMsg)
-            line = f"{ev.time} {ev.seq} done {msg.sender} {msg.receiver} {msg.origin}"
-            mark_done(msg.receiver, msg.origin, msg.sender, ev.time)
+        if kind == "share":
+            line = f"{at} {order} share {sender} {receiver} {payload.share.value}"
+            if receive_share(states[receiver], payload) is not None:
+                mark_done(receiver, receiver, None, at)
+        elif kind == "done":
+            line = f"{at} {order} done {sender} {receiver} {origin}"
+            mark_done(receiver, origin, sender, at)
         else:
-            assert isinstance(msg, ValueMsg)
-            line = f"{ev.time} {ev.seq} value {msg.sender} {msg.receiver} {msg.origin}:{msg.value}"
-            box = flood_values[msg.receiver]
-            if msg.origin not in box:
-                box[msg.origin] = msg.value
-                for nbr in sorted(t.neighbors(msg.receiver)):
-                    if nbr != msg.sender:
-                        send(ev.time, "value", ValueMsg(msg.origin, msg.value, msg.receiver, nbr))
+            line = f"{at} {order} value {sender} {receiver} {origin}:{payload}"
+            box = flood_values[receiver]
+            if origin not in box:
+                box[origin] = payload
+                for nbr in nbrs[receiver]:
+                    if nbr != sender:
+                        send(at, "value", receiver, nbr, origin, payload)
         events.append(line)
-        if msg.receiver in members:
+        if receiver in members:
             transcript.append(line)
 
     if not phase_complete(states):

@@ -3,22 +3,27 @@
 `reference_delivery_schedule` is the pop-all-ties heap scheduler,
 `reference_gossip_avg` the pairwise-mean gossip loop on `Fraction`s, and
 `reference_simulate` the event loop that drives both over one heap of every
-pending event. `reference_share_values` and `reference_sample_view_keys` draw
-one share per `randint_below` call, as `init_shares` and the sampled audit did
-before they drew in bulk. `reference_enumerate_views` builds each chunk's view
+pending event, queued as the frozen `SimEvent` with a `PhaseDoneMsg` or
+`ValueMsg` it carried before events became flat records.
+`reference_randint_below` reads one raw word per try, as `SeededRng` did
+before it buffered words. `reference_share_values` and
+`reference_sample_view_keys` draw one share per `randint_below` call, as
+`init_shares` and the sampled audit did before they drew in bulk. `reference_enumerate_views` builds each chunk's view
 rows by an incidence-matrix product (`reference_view_rows`), counts them with
 `np.unique(axis=0)` and merges them one row at a time, and
 `reference_marginal_bins` and `reference_full_view_bins` bin sampled view
 keys one key at a time, as the audits did before they worked on
-mixed-radix codes and columns. The fast paths in
+mixed-radix codes and columns; `reference_histogram_csv` formats
+`histogram.csv` from decoded, re-sorted outcome tuples. The fast paths in
 `privavg` must reproduce them byte for byte.
 """
 from __future__ import annotations
 
 import heapq
 from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -26,7 +31,6 @@ from privavg.audit import Histogram, _b_chunks, _row_tuples, _space_size
 from privavg.consensus import ConsensusAlgo, ConsensusResult, ConvergenceError, finalize
 from privavg.masking import (
     MaskShareMsg,
-    PhaseDoneMsg,
     ProtocolParams,
     build_states,
     edge_differences,
@@ -35,15 +39,40 @@ from privavg.masking import (
     receive_share,
 )
 from privavg.residues import SeededRng
-from privavg.simnet import (
-    AdversarySpec,
-    AdversaryView,
-    RunReport,
-    SimEvent,
-    ValueMsg,
-    _scenario_hash,
-)
+from privavg.simnet import AdversarySpec, AdversaryView, RunReport, _scenario_hash
 from privavg.topology import Topology, connected_components, incidence_matrix
+
+
+@dataclass(frozen=True)
+class PhaseDoneMsg:
+    """Completion notice flooded through the graph, deduplicated by origin."""
+
+    origin: int
+    sender: int
+    receiver: int
+
+
+@dataclass(frozen=True)
+class ValueMsg:
+    """Phase-2 flooded (origin, effective value) pair."""
+
+    origin: int
+    value: int
+    sender: int
+    receiver: int
+
+
+Payload = Union[MaskShareMsg, PhaseDoneMsg, ValueMsg]
+
+
+@dataclass(frozen=True, order=True)
+class SimEvent:
+    """One pending delivery; the (time, seq) pair is the processing order key."""
+
+    time: int
+    seq: int
+    kind: str = field(compare=False)
+    msg: Payload = field(compare=False)
 
 
 def reference_delivery_schedule(rng: SeededRng, pending: list[SimEvent]) -> SimEvent:
@@ -235,6 +264,26 @@ def reference_simulate(
         events=tuple(events),
         gossip_spread=spread_trace,
     )
+
+
+def reference_randint_below(bitgen: np.random.PCG64, n: int) -> int:
+    """Masked rejection reading one `random_raw()` word per try, with no buffer."""
+    mask = (1 << (n - 1).bit_length()) - 1
+    if not mask:
+        return 0
+    while True:
+        word = int(bitgen.random_raw()) & mask
+        if word < n:
+            return word
+
+
+def reference_histogram_csv(hist: Histogram) -> str:
+    """`histogram.csv` from the decoded outcome tuples, sorted, one lookup each."""
+    rows = ["outcome,count"]
+    for outcome in sorted(hist.counts):
+        flat = " ".join(str(x) for x in outcome)
+        rows.append(f"\"{flat}\",{hist.counts[outcome]}")
+    return "\n".join(rows) + "\n"
 
 
 def reference_share_values(

@@ -222,6 +222,29 @@ def test_gossip_out_of_rounds_exits_one_with_one_line(tmp_path, capsys):
     assert err[0].endswith(" after 3 rounds")
 
 
+@pytest.mark.parametrize("max_delay", ["0", "-3"])
+def test_max_delay_below_one_exits_two_naming_line(tmp_path, capsys, max_delay):
+    cfg = tmp_path / "delay.cfg"
+    cfg.write_text(GOLDEN_CFG.replace("algo = flood", f"algo = flood\nmax_delay = {max_delay}"))
+    assert main(["run", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"config error: line 5: [experiment] max_delay: expected an integer >= 1, got {max_delay}"
+    ]
+
+
+def test_max_delay_past_64_bits_exits_one_naming_the_key(tmp_path, capsys):
+    cfg = tmp_path / "delay.cfg"
+    cfg.write_text(GOLDEN_CFG.replace("algo = flood", f"algo = flood\nmax_delay = {2**64 + 1}"))
+    assert main(["run", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: max_delay must be below 2**64, got 18446744073709551617"
+    ]
+
+
 LOOSE_GOSSIP_CFG = """\
 [experiment]
 algo = gossip

@@ -1,6 +1,7 @@
 """Typed errors on the run path, and what importing the package loads."""
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from privavg.consensus import ConvergenceError, InvariantError
 from privavg.simnet import RunReport
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+PACKAGE = Path(SRC) / "privavg"
 
 
 def _python(*args: str) -> subprocess.CompletedProcess:
@@ -58,6 +60,19 @@ def test_typed_error_survives_python_dash_o():
     proc = _python("-O", "-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("typed: agents disagree on the average")
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips asserts, so invariants must raise typed errors instead
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert paths
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def test_report_missing_field_is_value_error():

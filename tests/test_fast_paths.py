@@ -28,8 +28,8 @@ from privavg.audit import (
     histogram_csv,
 )
 from privavg.consensus import ConsensusAlgo, ConvergenceError, gossip_avg
-from privavg.masking import AgentState, PhaseDoneMsg, ProtocolParams, init_shares
-from privavg.residues import SeededRng
+from privavg.masking import AgentState, ProtocolParams, init_shares
+from privavg.residues import BLOCK, SeededRng
 from privavg.simnet import AdversarySpec, SimEvent, delivery_schedule, simulate
 from privavg.topology import Topology
 
@@ -40,6 +40,8 @@ from reference import (
     reference_full_view_bins,
     reference_marginal_bins,
     reference_gossip_avg,
+    reference_histogram_csv,
+    reference_randint_below,
     reference_sample_view_keys,
     reference_share_values,
     reference_simulate,
@@ -96,7 +98,7 @@ def test_delivery_schedule_draws_like_the_heap_scheduler():
     # same-tick lists in seq order give the heap scheduler's candidates
     for size in (1, 2, 3, 7, 40):
         fast_rng, slow_rng = SeededRng(9, 0), SeededRng(9, 0)
-        due = [SimEvent(3, s, "done", PhaseDoneMsg(0, 0, 0)) for s in range(size)]
+        due = [SimEvent(3, s, "done", 0, 0, 0, None) for s in range(size)]
         heap = list(due)
         while due:
             assert delivery_schedule(fast_rng, due) == reference_delivery_schedule(slow_rng, heap)
@@ -183,6 +185,47 @@ def test_randints_below_matches_single_draws(n):
         assert bulk.tolist() == [single_rng.randint_below(n) for _ in range(k)]
         # the bulk call left the stream exactly where k single draws leave it
         assert bulk_rng.randint_below(2**64 - 1) == single_rng.randint_below(2**64 - 1)
+
+
+class _CountingWords:
+    """A stream's bit generator that counts the raw words read from it."""
+
+    def __init__(self, seed: int, stream: int) -> None:
+        self.words = 0
+        self._bitgen = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(stream,)))
+
+    def random_raw(self):
+        self.words += 1
+        return self._bitgen.random_raw()
+
+
+def test_buffered_draws_match_one_word_per_try():
+    # n = 1 reads no word, n = 2^63+5 rejects close to half of them
+    ns = [1, 2, 3, 2**63 + 5, 2**64 - 1]
+    rnd = random.Random(2718)
+    for stream in range(3):
+        rng, words = SeededRng(23, stream), _CountingWords(23, stream)
+        got, want = [], []
+
+        def both(n, k=None):
+            if k is None:
+                got.append(rng.randint_below(n))
+                want.append(reference_randint_below(words, n))
+            else:
+                got.extend(rng.randints_below(n, k).tolist())
+                want.extend(reference_randint_below(words, n) for _ in range(k))
+
+        for _ in range(3000):
+            n = rnd.choice(ns)
+            both(n, None if rnd.random() < 0.85 else rnd.choice([0, 1, 5, 40, 300]))
+        # part of a block used, then a bulk draw smaller and one larger than the rest
+        both(3)
+        both(2**63 + 5, 7)
+        both(2)
+        both(2**64 - 1, 3 * BLOCK)
+        both(2**63 + 5)
+        assert got == want
+        assert words.words > 8 * BLOCK
 
 
 def test_init_shares_matches_single_draws_with_partial_override():
@@ -471,6 +514,37 @@ def test_code_histograms_compare_past_int64_codes():
         assert (fast != fast_other) and (slow != slow_other)
         assert len(fast.counts) == len(slow.counts) and fast.counts._decoded is None
         assert histogram_csv(fast) == histogram_csv(slow)
+
+
+def test_histogram_csv_matches_the_tuple_formatter():
+    triangle = Topology(3, [(1, 2), (2, 3), (1, 3)])
+    masks = enumerate_mask_distribution(triangle, 5)
+    enumerated = [
+        masks,
+        enumerate_view_distribution(path3(), 3, AdversarySpec((2,)), (1, 2, 0)),
+        # 3^40 >= 2^63: object codes
+        enumerate_view_distribution(
+            Topology(40, [(1, 2), (2, 3), (3, 4)]), 3, AdversarySpec(()), (2, 0, 1, 1) + (0,) * 36
+        ),
+        # digits past 2^63 on an edgeless graph
+        enumerate_view_distribution(
+            Topology(2, []), 2**64 - 59, AdversarySpec((1,)), (2**64 - 60, 5)
+        ),
+    ]
+    assert enumerated[2].counts.codes.dtype == object
+    for hist in enumerated:
+        csv = histogram_csv(hist)
+        assert hist.counts._decoded is None  # formatted without outcome tuples
+        assert csv == reference_histogram_csv(hist)
+    built = [
+        Histogram({}),
+        Histogram({(2, 1): 3, (0, 4): 1, (10, 0): 2, (0, 3): 1}),
+        Histogram(dict(reversed(list(masks.counts.items())))),
+        Histogram({(2**64 - 60, 5): 1, (7, 2**63 + 1): 2}),
+    ]
+    for hist in built:
+        assert histogram_csv(hist) == reference_histogram_csv(hist)
+    assert histogram_csv(built[2]) == histogram_csv(masks)
 
 
 def test_dict_histograms_compare_with_enumerated_ones():

@@ -1,5 +1,5 @@
 """The package's public names are the README's list, the demos use no others,
-and every function the benchmark tracer wraps exists."""
+and every function the benchmark tracer wraps exists and sees a run's work."""
 from __future__ import annotations
 
 import ast
@@ -9,9 +9,19 @@ import re
 from pathlib import Path
 
 import privavg
+import privavg.simnet
+from privavg import AdversarySpec, ProtocolParams, Topology
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text()
+
+
+def _tracing():
+    # bench/ is not a package; load the tracer module by path
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
 
 
 def _section(title: str) -> str:
@@ -47,9 +57,7 @@ def test_readme_library_use_example_runs():
 def test_benchmark_tracer_finds_every_name_it_wraps():
     # bench/tracing.py skips a name the package no longer has, so a rename
     # would silently drop that layer from the per-layer metrics
-    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _tracing()
     assert tracing.SPANNED
     for modname, attr, _ in tracing.SPANNED:
         assert modname.startswith("privavg."), modname
@@ -58,3 +66,22 @@ def test_benchmark_tracer_finds_every_name_it_wraps():
             assert hasattr(owner, part), f"{modname} has no {attr}"
             owner = getattr(owner, part)
         assert callable(owner), f"{modname}.{attr}"
+
+
+def test_benchmark_tracer_sees_every_delivery_and_draw_of_a_flood_run():
+    # the tracer counts deliveries by wrapping simnet.delivery_schedule, reads
+    # .time off every queued event, and counts draws by swapping
+    # SeededRng.randint_below; a run that bypassed any of them would read short
+    t = Topology(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6), (2, 5)])
+    args = (t, [3, 0, 7, 1, 9, 4], ProtocolParams.with_default_p(6, 10))
+    kw = dict(adversary=AdversarySpec({2, 4}), seed=11)
+    plain = privavg.simnet.simulate(*args, **kw)
+    tracer = _tracing().Tracer()
+    with tracer.installed():
+        traced = privavg.simnet.simulate(*args, **kw)
+    metrics = tracer.layer_metrics(leaks_missed=0, out_bytes=0)
+    assert traced.to_text() == plain.to_text()
+    assert metrics["simnet.deliveries"] == traced.phase1_messages + traced.phase2_messages
+    assert metrics["simnet.phase1_messages"] == traced.phase1_messages
+    assert metrics["simnet.tie_candidates"] >= 1
+    assert metrics["residues.draws"] > 0

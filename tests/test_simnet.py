@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from privavg.consensus import ConsensusAlgo
-from privavg.masking import PhaseDoneMsg, ProtocolParams
+from privavg.masking import ProtocolParams
 from privavg.residues import Modulus, SeededRng
 from privavg.simnet import (
     AdversarySpec,
@@ -122,7 +122,7 @@ def test_report_without_adversary_records_no_view():
 
 def test_delivery_schedule_uniform_over_ties():
     def fresh_heap():
-        evs = [SimEvent(1, s, "done", PhaseDoneMsg(0, 0, 0)) for s in range(3)]
+        evs = [SimEvent(1, s, "done", 0, 0, 0, None) for s in range(3)]
         heapq.heapify(evs)
         return evs
 
@@ -136,7 +136,7 @@ def test_delivery_schedule_uniform_over_ties():
 
 def test_delivery_schedule_single_event_consumes_no_randomness():
     rng = SeededRng(123, 0)
-    heap = [SimEvent(4, 0, "done", PhaseDoneMsg(0, 0, 0))]
+    heap = [SimEvent(4, 0, "done", 0, 0, 0, None)]
     ev = delivery_schedule(rng, heap)
     assert ev.time == 4 and heap == []
     assert rng.randint_below(2**32) == SeededRng(123, 0).randint_below(2**32)
@@ -216,6 +216,12 @@ def test_simulate_rejects_disconnected_and_bad_adversary():
                  adversary=AdversarySpec({5}))
     with pytest.raises(ValueError, match="max_delay"):
         simulate(Topology(2, [(1, 2)]), [0, 1], ProtocolParams.with_default_p(2, 3), max_delay=0)
+    with pytest.raises(ValueError, match=r"max_delay must be below 2\*\*64"):
+        simulate(Topology(2, [(1, 2)]), [0, 1], ProtocolParams.with_default_p(2, 3),
+                 max_delay=2**64)
+    rep = simulate(Topology(2, [(1, 2)]), [0, 1], ProtocolParams.with_default_p(2, 3),
+                   max_delay=2**64 - 1)
+    assert rep.average == Fraction(1, 2)
 
 
 def test_gossip_tolerance_must_stay_below_the_rounding_bound():
