@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import Mapping, Optional
 
 from .audit import (
     DEFAULT_BUDGET,
@@ -33,6 +33,7 @@ from .residues import Modulus
 from .simnet import AdversarySpec, simulate
 from .topology import (
     Topology,
+    _add_edge,
     _format_components,
     connected_components,
     is_vertex_cut,
@@ -60,7 +61,7 @@ AUDIT_CLAIMS = (
 
 _SCHEMA = {
     "experiment": {
-        "mode", "seed", "schedule_seed", "algo", "p", "q1", "q2",
+        "seed", "schedule_seed", "algo", "p", "q1", "q2",
         "max_delay", "tolerance", "max_rounds",
     },
     "topology": {"n", "edges", "file"},
@@ -78,7 +79,6 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     """Everything one invocation needs, already validated and typed."""
 
-    mode: str
     topology: Topology
     seed: int = 0
     inputs: Optional[tuple[int, ...]] = None
@@ -132,8 +132,9 @@ def _strip(line: str) -> str:
     return (line[:cut] if cut >= 0 else line).strip()
 
 
-def _parse_raw(text: str) -> dict[tuple[str, str], tuple[str, int]]:
-    entries: dict[tuple[str, str], tuple[str, int]] = {}
+def _parse_raw(text: str) -> dict[tuple[str, str], tuple[str, str]]:
+    """Map each (section, key) to its value and to where diagnostics say it came from."""
+    entries: dict[tuple[str, str], tuple[str, str]] = {}
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip(raw)
@@ -155,7 +156,7 @@ def _parse_raw(text: str) -> dict[tuple[str, str], tuple[str, int]]:
             raise ConfigError(f"line {lineno}: duplicate key {key!r} in [{section}]")
         if not value:
             raise ConfigError(f"line {lineno}: [{section}] {key}: empty value")
-        entries[(section, key)] = (value, lineno)
+        entries[(section, key)] = (value, f"line {lineno}: [{section}] {key}")
     return entries
 
 
@@ -166,29 +167,32 @@ class _Fields:
     def raw(self, section, key):
         return self.entries.get((section, key))
 
-    def _convert(self, section, key, conv, what, default):
+    def _convert(self, section, key, conv, what, default, bound=None):
+        """`bound` is (predicate, text); a converted value it rejects is named with the text."""
         got = self.raw(section, key)
         if got is None:
             return default
-        value, lineno = got
+        value, where = got
         try:
-            return conv(value)
+            result = conv(value)
         except (ValueError, ZeroDivisionError):
-            raise ConfigError(
-                f"line {lineno}: [{section}] {key}: expected {what}, got {value!r}"
-            ) from None
+            raise ConfigError(f"{where}: expected {what}, got {value!r}") from None
+        if bound is not None and not bound[0](result):
+            raise ConfigError(f"{where}: expected {what} {bound[1]}, got {result}")
+        return result
 
-    def integer(self, section, key, default=None, minimum=None):
-        value = self._convert(section, key, int, "an integer", default)
-        if minimum is not None and value is not None and value < minimum:
-            raise ConfigError(
-                f"line {self.raw(section, key)[1]}: [{section}] {key}: "
-                f"expected an integer >= {minimum}, got {value}"
-            )
-        return value
+    def integer(self, section, key, default=None, minimum=None, bits=None):
+        """An integer >= `minimum`, and below 2**`bits` when `bits` is given."""
+        bound = None
+        if bits is not None:
+            bound = (lambda v: minimum <= v < 2**bits, f"in [{minimum}, 2**{bits})")
+        elif minimum is not None:
+            bound = (lambda v: v >= minimum, f">= {minimum}")
+        return self._convert(section, key, int, "an integer", default, bound)
 
-    def fraction(self, section, key, default=None):
-        return self._convert(section, key, Fraction, "a rational", default)
+    def fraction(self, section, key, default=None, positive=False):
+        bound = (lambda v: v > 0, "> 0") if positive else None
+        return self._convert(section, key, Fraction, "a rational", default, bound)
 
     def real(self, section, key, default=None):
         return self._convert(section, key, float, "a real number", default)
@@ -203,11 +207,10 @@ class _Fields:
         got = self.raw(section, key)
         if got is None:
             return default
-        value, lineno = got
+        value, where = got
         if value not in choices:
             raise ConfigError(
-                f"line {lineno}: [{section}] {key}: expected one of "
-                f"{', '.join(sorted(choices))}, got {value!r}"
+                f"{where}: expected one of {', '.join(sorted(choices))}, got {value!r}"
             )
         return value
 
@@ -216,52 +219,57 @@ def _parse_topology(fields: _Fields, base_dir: Path) -> Topology:
     file_entry = fields.raw("topology", "file")
     inline_n = fields.raw("topology", "n")
     if file_entry and inline_n:
-        raise ConfigError(
-            f"line {file_entry[1]}: [topology] file conflicts with inline n/edges"
-        )
+        raise ConfigError(f"{file_entry[1]} conflicts with inline n/edges")
     if file_entry:
         path = base_dir / file_entry[0]
         try:
             return load_topology_text(path.read_text())
         except OSError as exc:
-            raise ConfigError(f"line {file_entry[1]}: [topology] file: {exc}") from None
+            raise ConfigError(f"{file_entry[1]}: {exc}") from None
         except ValueError as exc:
             raise ConfigError(f"[topology] file {path}: {exc}") from None
-    n = fields.integer("topology", "n")
+    n = fields.integer("topology", "n", minimum=1)
     if n is None:
         raise ConfigError("[topology] needs either `file` or `n` and `edges`")
     edges_entry = fields.raw("topology", "edges")
-    edges = []
+    edges: set[tuple[int, int]] = set()
     if edges_entry is not None:
-        value, lineno = edges_entry
+        value, where = edges_entry
         for token in value.split():
             parts = token.split(",")
             if len(parts) != 2:
-                raise ConfigError(
-                    f"line {lineno}: [topology] edges: expected `i,j` pairs, got {token!r}"
-                )
+                raise ConfigError(f"{where}: expected `i,j` pairs, got {token!r}")
             try:
-                edges.append((int(parts[0]), int(parts[1])))
+                i, j = int(parts[0]), int(parts[1])
             except ValueError:
-                raise ConfigError(
-                    f"line {lineno}: [topology] edges: non-integer endpoint in {token!r}"
-                ) from None
-    try:
-        return Topology(n, edges)
-    except ValueError as exc:
-        raise ConfigError(f"[topology]: {exc}") from None
+                raise ConfigError(f"{where}: non-integer endpoint in {token!r}") from None
+            try:
+                _add_edge(i, j, n, edges)
+            except ValueError as exc:
+                raise ConfigError(f"{where}: {exc}") from None
+    return Topology(n, edges)
 
 
-def parse_config(text: str, base_dir: str | Path = ".") -> ExperimentConfig:
-    """Parse and validate config text; every error names its line and field."""
-    fields = _Fields(_parse_raw(text))
-    mode = fields.word("experiment", "mode", {"run", "audit", "graph-check"}, "run")
+def parse_config(
+    text: str, base_dir: str | Path = ".", flags: Optional[Mapping[str, str]] = None
+) -> ExperimentConfig:
+    """Parse and validate config text; every error names its line and field.
+
+    `flags` maps config keys to command-line text. Each flag replaces its
+    key's entry before any conversion, so it passes the same checks, and a
+    complaint about it names `--key`.
+    """
+    entries = _parse_raw(text)
+    for key, value in (flags or {}).items():
+        section = next(s for s, keys in _SCHEMA.items() if key in keys)
+        entries[(section, key)] = (value, f"--{key}")
+    fields = _Fields(entries)
     algo_name = fields.word("experiment", "algo", {"flood", "gossip"}, "flood")
     algo_kwargs = {}
-    tol = fields.fraction("experiment", "tolerance")
+    tol = fields.fraction("experiment", "tolerance", positive=True)
     if tol is not None:
         algo_kwargs["gossip_tolerance"] = tol
-    rounds = fields.integer("experiment", "max_rounds")
+    rounds = fields.integer("experiment", "max_rounds", minimum=1)
     if rounds is not None:
         algo_kwargs["max_rounds"] = rounds
     algo = ConsensusAlgo(
@@ -272,12 +280,12 @@ def parse_config(text: str, base_dir: str | Path = ".") -> ExperimentConfig:
     group = fields.int_list("audit", "group")
     # scalar conversions first so their line diagnostics beat structural complaints
     scalars = dict(
-        seed=fields.integer("experiment", "seed", 0),
+        seed=fields.integer("experiment", "seed", 0, minimum=0, bits=64),
         inputs=fields.int_list("inputs", "values"),
         q1=fields.integer("experiment", "q1", 0),
         q2=fields.integer("experiment", "q2"),
-        p=fields.integer("experiment", "p"),
-        schedule_seed=fields.integer("experiment", "schedule_seed"),
+        p=fields.integer("experiment", "p", minimum=2, bits=64),
+        schedule_seed=fields.integer("experiment", "schedule_seed", minimum=0, bits=64),
         max_delay=fields.integer("experiment", "max_delay", ExperimentConfig.max_delay, minimum=1),
         audit_claim=fields.word("audit", "claim", set(AUDIT_CLAIMS)),
         audit_s_prime=fields.int_list("audit", "s_prime"),
@@ -286,7 +294,6 @@ def parse_config(text: str, base_dir: str | Path = ".") -> ExperimentConfig:
         budget=fields.integer("audit", "budget", ExperimentConfig.budget, minimum=1),
     )
     return ExperimentConfig(
-        mode=mode,
         topology=_parse_topology(fields, Path(base_dir)),
         algo=algo,
         adversary=adversary,
@@ -384,11 +391,11 @@ def _do_graph_check(cfg: ExperimentConfig) -> tuple[int, str, dict[str, str]]:
     return 0, "\n".join(lines) + "\n", {}
 
 
-def run_experiment(cfg: ExperimentConfig) -> tuple[int, str, dict[str, str]]:
-    """Dispatch one validated config; returns (exit status, stdout, files)."""
-    if cfg.mode == "run":
+def run_experiment(cfg: ExperimentConfig, command: str) -> tuple[int, str, dict[str, str]]:
+    """Run subcommand `command` on one validated config; returns (exit status, stdout, files)."""
+    if command == "run":
         return _do_run(cfg)
-    if cfg.mode == "audit":
+    if command == "audit":
         return _do_audit(cfg)
     return _do_graph_check(cfg)
 
@@ -405,47 +412,33 @@ def _build_parser() -> argparse.ArgumentParser:
         ("audit", "evaluate one distribution claim"),
         ("graph-check", "report connectivity and cut facts"),
     ):
-        cmd = sub.add_parser(name, help=doc)
+        # a flag left out is absent from the namespace, not None
+        cmd = sub.add_parser(name, help=doc, argument_default=argparse.SUPPRESS)
         cmd.add_argument("--config", required=True, help="path to a config file")
-        cmd.add_argument("--seed", type=int, default=None, help="override [experiment] seed")
+        cmd.add_argument("--seed", help="override [experiment] seed")
         cmd.add_argument("--out", default=None, help="directory for report files")
         if name == "run":
-            cmd.add_argument(
-                "--algo", choices=("flood", "gossip"), default=None,
-                help="override [experiment] algo",
-            )
+            cmd.add_argument("--algo", help="override [experiment] algo: flood or gossip")
         if name == "audit":
-            cmd.add_argument("--samples", type=int, default=None, help="override [audit] samples")
-            cmd.add_argument("--alpha", type=float, default=None, help="override [audit] alpha")
+            cmd.add_argument("--samples", help="override [audit] samples")
+            cmd.add_argument("--alpha", help="override [audit] alpha")
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
-    config_path = Path(args.config)
+    args = vars(_build_parser().parse_args(argv))
+    command = args.pop("command")
+    config_path = Path(args.pop("config"))
+    out = args.pop("out")
     try:
         text = config_path.read_text()
     except OSError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        cfg = parse_config(text, base_dir=config_path.parent)
-        cfg.mode = args.command
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if getattr(args, "algo", None) is not None:
-            cfg.algo = ConsensusAlgo(
-                variant="flood_sum" if args.algo == "flood" else "gossip_avg",
-                gossip_tolerance=cfg.algo.gossip_tolerance,
-                max_rounds=cfg.algo.max_rounds,
-            )
-        if getattr(args, "samples", None) is not None:
-            if args.samples < 1:
-                raise ConfigError(f"--samples: expected an integer >= 1, got {args.samples}")
-            cfg.samples = args.samples
-        if getattr(args, "alpha", None) is not None:
-            cfg.alpha = args.alpha
-        status, text_out, files = run_experiment(cfg)
+        # what is left in args are the flags given, each named after its config key
+        cfg = parse_config(text, base_dir=config_path.parent, flags=args)
+        status, text_out, files = run_experiment(cfg, command)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -453,8 +446,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     sys.stdout.write(text_out)
-    if args.out is not None:
-        out_dir = Path(args.out)
+    if out is not None:
+        out_dir = Path(out)
         out_dir.mkdir(parents=True, exist_ok=True)
         for name, content in files.items():
             (out_dir / name).write_text(content)

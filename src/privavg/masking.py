@@ -3,7 +3,8 @@
 Each agent sends an independent uniform residue to every neighbor and adds
 what it received minus what it sent into a mask. Masks telescope to zero over
 the whole graph, so the masked (effective) inputs preserve the true sum while
-each one alone is uniform noise.
+each one alone is uniform noise. This module holds only that mechanism; telling
+the other agents that a mask is set is the simulator's job (`simnet`).
 """
 from __future__ import annotations
 
@@ -23,7 +24,6 @@ __all__ = [
     "edge_differences",
     "exchange_shares",
     "init_shares",
-    "phase_complete",
     "receive_share",
 ]
 
@@ -88,8 +88,6 @@ class AgentState:
     mask : Residue or None -- set exactly once, when every neighbor's share
         has arrived
     effective_input : Residue or None -- input + mask, set together with mask
-    completed_peers : ids whose completion notices this agent has seen
-        (itself included once its own mask is set)
     """
 
     def __init__(self, agent_id: int, input_value: int, neighbors, params: ProtocolParams):
@@ -107,7 +105,6 @@ class AgentState:
         self.received_shares: dict[int, Residue] = {}
         self.mask: Optional[Residue] = None
         self.effective_input: Optional[Residue] = None
-        self.completed_peers: set[int] = set()
         self._initialized = False
 
     def _maybe_finish(self) -> bool:
@@ -224,13 +221,5 @@ def edge_differences(states: Mapping[int, AgentState]) -> list[EdgeDifference]:
                     raise ProtocolError(f"agent {j} has not drawn its shares yet")
                 b = states[j].sent_shares[i] - st.sent_shares[j]
                 diffs.append(EdgeDifference(edge=(i, j), value=b))
-    diffs.sort(key=lambda d: d.edge)
     return diffs
 
-
-def phase_complete(states: Mapping[int, AgentState]) -> bool:
-    """True once every mask is set and every agent has heard from everyone."""
-    everyone = set(states)
-    return all(
-        st.mask is not None and st.completed_peers == everyone for st in states.values()
-    )

@@ -5,8 +5,11 @@ make every run exactly reproducible from (scenario, seed). Protocol
 randomness and schedule randomness live on separate streams of the master
 seed (stream 0 drives the schedule, streams 1..n the per-agent shares,
 stream n+1 the gossip edge picks), so reshuffling deliveries can never change
-what anyone draws. A colluding set of agents can be declared; it is recorded,
-never consulted: the trajectory with and without the recorder is identical.
+what anyone draws. Completion notices and, under flooding, effective inputs
+travel by one flood: an agent keeps the first copy from each origin and passes
+it to every neighbour but the sender. A colluding set of agents can be declared;
+it is recorded, never consulted: the trajectory with and without the recorder
+is identical.
 """
 from __future__ import annotations
 
@@ -18,13 +21,11 @@ from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 from .consensus import ConsensusAlgo, InvariantError, finalize, gossip_avg
 from .masking import (
-    AgentState,
     MaskShareMsg,
     ProtocolParams,
     build_states,
     edge_differences,
     init_shares,
-    phase_complete,
     receive_share,
 )
 from .residues import SeededRng
@@ -306,7 +307,8 @@ def simulate(
     counts = {"share": 0, "done": 0, "value": 0}
     events: list[str] = []
     transcript: list[str] = []
-    flood_values: dict[int, dict[int, int]] = {i: {} for i in t.vertices}
+    # per kind and agent, the first payload heard from each origin
+    heard = {kind: {i: {} for i in t.vertices} for kind in ("done", "value")}
 
     def send(
         now: int, kind: str, sender: int, receiver: int, origin: int,
@@ -322,34 +324,35 @@ def simulate(
         seq += 1
         counts[kind] += 1
 
-    def start_phase2(i: int, now: int) -> None:
-        if algo.variant != "flood_sum":
-            return
-        effective = states[i].effective_input
-        if effective is None:
-            raise InvariantError(f"agent {i} finished phase 1 without an effective input")
-        value = int(effective)
-        flood_values[i][i] = value
-        for nbr in nbrs[i]:
-            send(now, "value", i, nbr, i, value)
-
-    def mark_done(agent: int, origin: int, came_from: Optional[int], now: int) -> None:
-        peers = states[agent].completed_peers
-        if origin in peers:
-            return
-        peers.add(origin)
+    def flood(
+        kind: str, agent: int, origin: int, payload: Optional[int],
+        came_from: Optional[int], now: int,
+    ) -> bool:
+        """Pass on the first copy from each origin; True once all n are heard."""
+        box = heard[kind][agent]
+        if origin in box:
+            return False
+        box[origin] = payload
         for nbr in nbrs[agent]:
             if nbr != came_from:
-                send(now, "done", agent, nbr, origin, None)
-        if len(peers) == t.n:
-            start_phase2(agent, now)
+                send(now, kind, agent, nbr, origin, payload)
+        return len(box) == t.n
+
+    def all_done(agent: int, now: int) -> None:
+        """`agent` heard every completion notice; under flooding it sends its value."""
+        if algo.variant == "flood_sum":
+            effective = states[agent].effective_input
+            if effective is None:
+                raise InvariantError(f"agent {agent} finished phase 1 without an effective input")
+            flood("value", agent, agent, int(effective), None, now)
 
     for i in sorted(t.vertices):
         for msg in init_shares(states[i], share_rngs[i], share_override):
             send(0, "share", msg.sender, msg.receiver, msg.sender, msg)
     for i in sorted(t.vertices):
-        if states[i].mask is not None:  # isolated in a 1-vertex graph: done at once
-            mark_done(i, i, None, 0)
+        # isolated in a 1-vertex graph: done at once
+        if states[i].mask is not None and flood("done", i, i, None, None, 0):
+            all_done(i, 0)
 
     ticks = 0
     while due_ticks:
@@ -361,31 +364,30 @@ def simulate(
             del due_at[ticks]
         if kind == "share":
             line = f"{at} {order} share {sender} {receiver} {payload.share.value}"
-            if receive_share(states[receiver], payload) is not None:
-                mark_done(receiver, receiver, None, at)
+            finished = receive_share(states[receiver], payload) is not None
+            if finished and flood("done", receiver, receiver, None, None, at):
+                all_done(receiver, at)
         elif kind == "done":
             line = f"{at} {order} done {sender} {receiver} {origin}"
-            mark_done(receiver, origin, sender, at)
+            if flood("done", receiver, origin, None, sender, at):
+                all_done(receiver, at)
         else:
             line = f"{at} {order} value {sender} {receiver} {origin}:{payload}"
-            box = flood_values[receiver]
-            if origin not in box:
-                box[origin] = payload
-                for nbr in nbrs[receiver]:
-                    if nbr != sender:
-                        send(at, "value", receiver, nbr, origin, payload)
+            flood("value", receiver, origin, payload, sender, at)
         events.append(line)
         if receiver in members:
             transcript.append(line)
 
-    if not phase_complete(states):
+    # an agent sends its own notice only once its mask is set, so hearing
+    # every notice means every mask is set
+    if any(len(box) != t.n for box in heard["done"].values()):
         raise InvariantError("schedule deadlock: phase 1 unfinished on a connected graph")
 
     spread_trace: tuple[Fraction, ...] = ()
     if algo.variant == "flood_sum":
-        if any(len(flood_values[i]) != t.n for i in t.vertices):
+        if any(len(box) != t.n for box in heard["value"].values()):
             raise InvariantError("flooding ended before every agent heard every origin")
-        per_agent = {i: Fraction(sum(flood_values[i].values())) for i in t.vertices}
+        per_agent = {i: Fraction(sum(box.values())) for i, box in heard["value"].items()}
         rounds_messages = counts["value"]
     else:
         grng = SeededRng(seed, t.n + 1)
@@ -428,7 +430,7 @@ def simulate(
         algo_variant=algo.variant,
         averages=averages,
         phase1_messages=counts["share"] + counts["done"],
-        phase2_messages=rounds_messages if algo.variant == "gossip_avg" else counts["value"],
+        phase2_messages=rounds_messages,
         ticks=ticks,
         adversary=tuple(sorted(members)) if adversary is not None else None,
         view=view,

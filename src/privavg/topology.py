@@ -32,21 +32,11 @@ class Topology:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise ValueError(f"vertex count must be a positive int, got {n!r}")
-        canon = []
-        seen = set()
-        for e in edges:
-            i, j = e
-            if not (1 <= i <= n and 1 <= j <= n):
-                raise ValueError(f"edge {e} has an endpoint outside 1..{n}")
-            if i == j:
-                raise ValueError(f"self-loop at vertex {i}")
-            lo, hi = (i, j) if i < j else (j, i)
-            if (lo, hi) in seen:
-                raise ValueError(f"duplicate edge {{{lo},{hi}}}")
-            seen.add((lo, hi))
-            canon.append((lo, hi))
+        seen: set[tuple[int, int]] = set()
+        for i, j in edges:
+            _add_edge(i, j, n, seen)
         self.n = n
-        self.edges: tuple[tuple[int, int], ...] = tuple(sorted(canon))
+        self.edges: tuple[tuple[int, int], ...] = tuple(sorted(seen))
         adj: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
         for i, j in self.edges:
             adj[i].add(j)
@@ -74,6 +64,18 @@ class Topology:
 
     def __repr__(self) -> str:
         return f"Topology(n={self.n}, edges={list(self.edges)})"
+
+
+def _add_edge(i: int, j: int, n: int, seen: set[tuple[int, int]]) -> None:
+    """Check edge {i, j} of a simple graph on 1..n and add it to `seen` as (low, high)."""
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise ValueError(f"edge {{{i},{j}}} has an endpoint outside 1..{n}")
+    if i == j:
+        raise ValueError(f"self-loop at vertex {i}")
+    edge = (i, j) if i < j else (j, i)
+    if edge in seen:
+        raise ValueError(f"duplicate edge {{{edge[0]},{edge[1]}}}")
+    seen.add(edge)
 
 
 def connected_components(t: Topology, subset: Optional[Iterable[int]] = None) -> list[frozenset[int]]:
@@ -229,14 +231,10 @@ def load_topology_text(text: str) -> Topology:
                 i, j = int(parts[1]), int(parts[2])
             except ValueError:
                 raise ValueError(f"line {lineno}: edge endpoints must be integers") from None
-            if not (1 <= i <= n and 1 <= j <= n):
-                raise ValueError(f"line {lineno}: endpoint outside 1..{n}")
-            if i == j:
-                raise ValueError(f"line {lineno}: self-loop at vertex {i}")
-            edge = (min(i, j), max(i, j))
-            if edge in edges:
-                raise ValueError(f"line {lineno}: duplicate edge {{{edge[0]},{edge[1]}}}")
-            edges.add(edge)
+            try:
+                _add_edge(i, j, n, edges)
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
         else:
             raise ValueError(f"line {lineno}: unknown directive {parts[0]!r}")
     if n is None:

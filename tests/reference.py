@@ -35,7 +35,6 @@ from privavg.masking import (
     build_states,
     edge_differences,
     init_shares,
-    phase_complete,
     receive_share,
 )
 from privavg.residues import SeededRng
@@ -152,6 +151,7 @@ def reference_simulate(
     events: list[str] = []
     transcript: list[str] = []
     flood_values: dict[int, dict[int, int]] = {i: {} for i in t.vertices}
+    completed_peers: dict[int, set[int]] = {i: set() for i in t.vertices}
 
     def send(now: int, kind: str, msg) -> None:
         nonlocal seq
@@ -169,13 +169,13 @@ def reference_simulate(
 
     def mark_done(agent: int, origin: int, came_from: Optional[int], now: int) -> None:
         st = states[agent]
-        if origin in st.completed_peers:
+        if origin in completed_peers[agent]:
             return
-        st.completed_peers.add(origin)
+        completed_peers[agent].add(origin)
         for nbr in sorted(st.neighbors):
             if nbr != came_from:
                 send(now, "done", PhaseDoneMsg(origin=origin, sender=agent, receiver=nbr))
-        if st.completed_peers == everyone:
+        if completed_peers[agent] == everyone:
             start_phase2(agent, now)
 
     for i in sorted(t.vertices):
@@ -210,7 +210,9 @@ def reference_simulate(
         if msg.receiver in members:
             transcript.append(line)
 
-    assert phase_complete(states)
+    assert all(
+        states[i].mask is not None and completed_peers[i] == everyone for i in t.vertices
+    )
 
     spread_trace: tuple[Fraction, ...] = ()
     if algo.variant == "flood_sum":

@@ -125,6 +125,9 @@ def test_config_error_diagnostics():
         parse_config("[topology]\nn = 2\nedges = 1-2\n")
     with pytest.raises(ConfigError, match="empty value"):
         parse_config("[experiment]\nseed =\n")
+    # the subcommand picks what to do; no key does
+    with pytest.raises(ConfigError, match="line 2: unknown key 'mode'"):
+        parse_config("[experiment]\nmode = audit\n")
 
 
 def test_config_errors_exit_two(tmp_path, capsys):
@@ -232,6 +235,47 @@ def test_max_delay_below_one_exits_two_naming_line(tmp_path, capsys, max_delay):
     assert captured.err.splitlines() == [
         f"config error: line 5: [experiment] max_delay: expected an integer >= 1, got {max_delay}"
     ]
+
+
+@pytest.mark.parametrize(
+    "old, new, flags, complaint",
+    [
+        ("seed = 42", "seed = -1", [],
+         "line 3: [experiment] seed: expected an integer in [0, 2**64), got -1"),
+        ("seed = 42", f"seed = {2**64}", [],
+         f"line 3: [experiment] seed: expected an integer in [0, 2**64), got {2**64}"),
+        ("seed = 42", "seed = 42\nschedule_seed = -2", [],
+         "line 4: [experiment] schedule_seed: expected an integer in [0, 2**64), got -2"),
+        ("p = 30", "p = 1", [],
+         "line 5: [experiment] p: expected an integer in [2, 2**64), got 1"),
+        ("p = 30", f"p = {2**64}", [],
+         f"line 5: [experiment] p: expected an integer in [2, 2**64), got {2**64}"),
+        ("p = 30", "p = 30\nmax_rounds = 0", [],
+         "line 6: [experiment] max_rounds: expected an integer >= 1, got 0"),
+        ("p = 30", "p = 30\ntolerance = 0", [],
+         "line 6: [experiment] tolerance: expected a rational > 0, got 0"),
+        ("p = 30", "p = 30\ntolerance = -1", [],
+         "line 6: [experiment] tolerance: expected a rational > 0, got -1"),
+        ("n = 3", "n = 0", [],
+         "line 10: [topology] n: expected an integer >= 1, got 0"),
+        ("1,2 2,3 1,3", "1,2 2,3 1,2", [],
+         "line 11: [topology] edges: duplicate edge {1,2}"),
+        ("1,2 2,3 1,3", "1,2 2,4", [],
+         "line 11: [topology] edges: edge {2,4} has an endpoint outside 1..3"),
+        ("1,2 2,3 1,3", "1,2 2,2", [],
+         "line 11: [topology] edges: self-loop at vertex 2"),
+        ("", "", ["--seed", "-1"], "--seed: expected an integer in [0, 2**64), got -1"),
+        ("", "", ["--seed", "x"], "--seed: expected an integer, got 'x'"),
+        ("", "", ["--algo", "push"], "--algo: expected one of flood, gossip, got 'push'"),
+    ],
+)
+def test_bad_values_exit_two_naming_the_line_or_flag(tmp_path, capsys, old, new, flags, complaint):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(GOLDEN_CFG.replace(old, new, 1) if old else GOLDEN_CFG)
+    assert main(["run", "--config", str(cfg), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"config error: {complaint}"]
 
 
 def test_max_delay_past_64_bits_exits_one_naming_the_key(tmp_path, capsys):

@@ -15,7 +15,6 @@ from privavg.masking import (
     edge_differences,
     exchange_shares,
     init_shares,
-    phase_complete,
     receive_share,
 )
 from privavg.residues import Modulus, Residue, SeededRng
@@ -183,16 +182,6 @@ def test_edge_differences_requires_all_initialized():
     init_shares(states[1], SeededRng(0, 1))
     with pytest.raises(ProtocolError, match="not drawn"):
         edge_differences(states)
-
-
-def test_phase_complete_accounting():
-    states = golden_states()
-    assert not phase_complete(states)
-    for st in states.values():
-        st.completed_peers = {1, 2, 3}
-    assert phase_complete(states)
-    states[2].completed_peers = {1, 2}
-    assert not phase_complete(states)
 
 
 def test_params_validation():

@@ -188,6 +188,26 @@ def test_masked_sum_identity_in_adversarial_runs():
         assert honest % p == (sum(inputs) - coalition) % p
 
 
+def test_flood_message_counts_match_the_closed_form():
+    # each origin's flood: deg(origin) sends, then deg(a) - 1 at every other
+    # agent; a flood that echoed to its sender or re-forwarded repeats sends more
+    rnd = random.Random(2024)
+    for trial in range(30):
+        n = rnd.randrange(1, 13)
+        t = random_connected_topology(rnd, n)
+        params = ProtocolParams.with_default_p(n, 4)
+        inputs = [rnd.randrange(4) for _ in range(n)]
+        per_origin = 2 * len(t.edges) - n + 1
+        coalition = AdversarySpec(rnd.sample(range(1, n + 1), rnd.randrange(1, n + 1)))
+        for adversary in (None, coalition):
+            for max_delay in (1, 4):
+                rep = simulate(
+                    t, inputs, params, adversary=adversary, seed=trial, max_delay=max_delay
+                )
+                assert rep.phase2_messages == n * per_origin
+                assert rep.phase1_messages == 2 * len(t.edges) + n * per_origin
+
+
 def test_report_round_trip_is_byte_identical():
     for rep in (
         golden_run(adversary=AdversarySpec({3})),
