@@ -27,7 +27,7 @@ from .audit import (
     histogram_csv,
     sampled_view_test,
 )
-from .consensus import ConsensusAlgo
+from .consensus import ConsensusAlgo, _SpreadTrace
 from .masking import ProtocolParams
 from .residues import Modulus
 from .simnet import AdversarySpec, simulate
@@ -167,8 +167,9 @@ class _Fields:
     def raw(self, section, key):
         return self.entries.get((section, key))
 
-    def _convert(self, section, key, conv, what, default, bound=None):
-        """`bound` is (predicate, text); a converted value it rejects is named with the text."""
+    def _convert(self, section, key, conv, what, default, bounds=()):
+        """`bounds` holds (predicate, text) pairs; the first a converted value
+        fails names it with its text."""
         got = self.raw(section, key)
         if got is None:
             return default
@@ -177,25 +178,26 @@ class _Fields:
             result = conv(value)
         except (ValueError, ZeroDivisionError):
             raise ConfigError(f"{where}: expected {what}, got {value!r}") from None
-        if bound is not None and not bound[0](result):
-            raise ConfigError(f"{where}: expected {what} {bound[1]}, got {result}")
+        for ok, text in bounds:
+            if not ok(result):
+                raise ConfigError(f"{where}: expected {what} {text}, got {result}")
         return result
 
-    def integer(self, section, key, default=None, minimum=None, bits=None):
-        """An integer >= `minimum`, and below 2**`bits` when `bits` is given."""
-        bound = None
+    def integer(self, section, key, default=None, minimum=None, bits=None, bounds=()):
+        """An integer >= `minimum`, and below 2**`bits` when `bits` is given,
+        that passes `bounds` as well."""
         if bits is not None:
-            bound = (lambda v: minimum <= v < 2**bits, f"in [{minimum}, 2**{bits})")
+            bounds = ((lambda v: minimum <= v < 2**bits, f"in [{minimum}, 2**{bits})"), *bounds)
         elif minimum is not None:
-            bound = (lambda v: v >= minimum, f">= {minimum}")
-        return self._convert(section, key, int, "an integer", default, bound)
+            bounds = ((lambda v: v >= minimum, f">= {minimum}"), *bounds)
+        return self._convert(section, key, int, "an integer", default, bounds)
 
     def fraction(self, section, key, default=None, positive=False):
-        bound = (lambda v: v > 0, "> 0") if positive else None
-        return self._convert(section, key, Fraction, "a rational", default, bound)
+        bounds = [(lambda v: v > 0, "> 0")] if positive else ()
+        return self._convert(section, key, Fraction, "a rational", default, bounds)
 
-    def real(self, section, key, default=None):
-        return self._convert(section, key, float, "a real number", default)
+    def real(self, section, key, default=None, bounds=()):
+        return self._convert(section, key, float, "a real number", default, bounds)
 
     def int_list(self, section, key, default=None):
         return self._convert(
@@ -282,15 +284,20 @@ def parse_config(
     scalars = dict(
         seed=fields.integer("experiment", "seed", 0, minimum=0, bits=64),
         inputs=fields.int_list("inputs", "values"),
-        q1=fields.integer("experiment", "q1", 0),
-        q2=fields.integer("experiment", "q2"),
+        q1=(q1 := fields.integer("experiment", "q1", 0)),
+        q2=fields.integer("experiment", "q2", bounds=[(lambda v: v >= q1, f">= q1 = {q1}")]),
         p=fields.integer("experiment", "p", minimum=2, bits=64),
         schedule_seed=fields.integer("experiment", "schedule_seed", minimum=0, bits=64),
-        max_delay=fields.integer("experiment", "max_delay", ExperimentConfig.max_delay, minimum=1),
+        max_delay=fields.integer(
+            "experiment", "max_delay", ExperimentConfig.max_delay, minimum=1,
+            bounds=[(lambda v: v < 2**64, "below 2**64")],
+        ),
         audit_claim=fields.word("audit", "claim", set(AUDIT_CLAIMS)),
         audit_s_prime=fields.int_list("audit", "s_prime"),
         samples=fields.integer("audit", "samples", minimum=1),
-        alpha=fields.real("audit", "alpha", ExperimentConfig.alpha),
+        alpha=fields.real(
+            "audit", "alpha", ExperimentConfig.alpha, bounds=[(lambda v: 0 < v < 1, "in (0, 1)")]
+        ),
         budget=fields.integer("audit", "budget", ExperimentConfig.budget, minimum=1),
     )
     return ExperimentConfig(
@@ -329,9 +336,11 @@ def _do_run(cfg: ExperimentConfig) -> tuple[int, str, dict[str, str]]:
         f"average = {average} (= {decimal_text(average)})",
     ]
     files = {"report.txt": report.to_text()}
-    if report.gossip_spread:
+    spread = report.gossip_spread
+    if spread:
+        floats = spread.floats() if isinstance(spread, _SpreadTrace) else map(float, spread)
         rows = ["exchange,spread"]
-        rows += [f"{i},{float(sp)!r}" for i, sp in enumerate(report.gossip_spread, 1)]
+        rows += [f"{i},{x!r}" for i, x in enumerate(floats, 1)]
         files["convergence.csv"] = "\n".join(rows) + "\n"
     return 0, "\n".join(lines) + "\n", files
 

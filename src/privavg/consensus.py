@@ -4,11 +4,14 @@ Two interchangeable routes: flooding the effective inputs (every agent learns
 the exact multiset and sums it; the event simulator in `simnet` runs it) or
 randomized pairwise-mean gossip run on exact rationals so that the conserved
 quantity never drifts. Either way the final step strips the modulus and
-divides by the agent count exactly.
+divides by the agent count exactly. Gossip keeps its numerators, and the
+spread trace it returns, as integers over one shared dyadic denominator;
+`Fraction`s are built only when a caller reads them.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Union
@@ -84,7 +87,63 @@ class ConsensusResult:
     per_agent: dict[int, Fraction]
     rounds: int
     messages: int
-    spread_trace: tuple[Fraction, ...] = field(default=())
+    spread_trace: Sequence[Fraction] = field(default=())
+
+
+class _SpreadTrace(Sequence):
+    """Gossip's spread after each round, read-only, built as `Fraction`s on access.
+
+    Round r holds the integer spread `spreads[r]` over the denominator
+    `dens[r]` in force then; every denominator is `base * 2**k`, with `base`
+    the lcm of the input denominators. It compares equal to a tuple or list
+    of the same `Fraction`s, and formats them without building any.
+    """
+
+    __slots__ = ("_spreads", "_dens", "_odd")
+
+    def __init__(self, spreads: list[int], dens: list[int], base: int):
+        self._spreads = spreads
+        self._dens = dens
+        self._odd = base >> ((base & -base).bit_length() - 1)  # odd part of base
+
+    def __len__(self) -> int:
+        return len(self._spreads)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(map(Fraction, self._spreads[k], self._dens[k]))
+        return Fraction(self._spreads[k], self._dens[k])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (tuple, list, _SpreadTrace)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"_SpreadTrace({tuple(self)!r})"
+
+    def texts(self) -> Iterator[str]:
+        """`str(Fraction(s, d))` for every round, reduced without a full-size gcd:
+        strip the common trailing zero bits, then divide out what the spread
+        shares with the odd part of `base`."""
+        odd = self._odd
+        for s, d in zip(self._spreads, self._dens):
+            if not s:
+                yield "0"
+                continue
+            k = min((s & -s).bit_length(), (d & -d).bit_length()) - 1
+            s >>= k
+            d >>= k
+            if odd > 1:
+                g = math.gcd(s, odd)
+                s //= g
+                d //= g
+            yield str(s) if d == 1 else f"{s}/{d}"
+
+    def floats(self) -> Iterator[float]:
+        """`float(Fraction(s, d))` for every round: int true division rounds
+        correctly, so `s / d` is the same float."""
+        return map(int.__truediv__, self._spreads, self._dens)
 
 
 def _check_values(t: Topology, values: Mapping[int, Number]) -> None:
@@ -102,56 +161,68 @@ def gossip_avg(
     """Randomized pairwise-mean gossip on exact rationals.
 
     One uniformly random edge activates per round and its endpoints move to
-    their mean. Values are held as integer numerators over one shared
-    denominator, at first the lcm of the input denominators; the denominator
-    and every numerator double only when a pair sum is odd, so a round is
-    integer arithmetic and the global sum is checked unchanged after every one.
-    `Fraction`s are built only for what callers see (the spread trace, the
-    mean handed to `on_exchange`, the results), and they equal those of
-    pairwise `Fraction` means drawn with the same edge picks. Stops once
-    max - min is within twice the tolerance; exceeding the round budget
-    raises with the partial state attached.
+    their mean. Values are held as integer numerators, in a list by vertex
+    position, over one shared denominator, at first the lcm of the input
+    denominators; the denominator and every numerator double only when a pair
+    sum is odd, so a round is integer arithmetic and the global sum is checked
+    unchanged after every one. The spread trace stays integer too (see
+    `_SpreadTrace`); `Fraction`s are built only for the mean handed to
+    `on_exchange` and for the results, and they equal those of pairwise
+    `Fraction` means drawn with the same edge picks. Stops once max - min is
+    within twice the tolerance; exceeding the round budget raises with the
+    partial state attached.
     """
     _check_values(t, values)
     _require_connected(t, "gossip")
-    start = {i: Fraction(values[i]) for i in t.vertices}
-    den = math.lcm(*(v.denominator for v in start.values()))
-    nums = {i: v.numerator * (den // v.denominator) for i, v in start.items()}
-    total = sum(nums.values())
+    vertices = t.vertices
+    start = [Fraction(values[i]) for i in vertices]
+    base = den = math.lcm(*(v.denominator for v in start))
+    nums = [v.numerator * (den // v.denominator) for v in start]
+    total = sum(nums)
     budget = algo.rounds_budget(t)
     goal = 2 * algo.gossip_tolerance
+    goal_den = goal.denominator
+    limit = goal.numerator * den  # doubles with den, so the stop test stays integer
     edges = t.edges
-    trace = []
+    at = {v: k for k, v in enumerate(vertices)}
+    pairs = [(at[i], at[j]) for i, j in edges]
+    draw = rng.randint_below
+    m = len(edges)
+    spreads: list[int] = []
+    dens: list[int] = []
     rounds = 0
-    spread = max(nums.values()) - min(nums.values())
-    while spread * goal.denominator > goal.numerator * den:  # spread / den > goal
+    spread = max(nums) - min(nums)
+    while spread * goal_den > limit:  # spread / den > goal
         if rounds >= budget:
             raise ConvergenceError(
-                f"gossip spread still {float(Fraction(spread, den)):.3g} after {rounds} rounds",
-                values={i: Fraction(v, den) for i, v in nums.items()},
+                f"gossip spread still {spread / den:.3g} after {rounds} rounds",
+                values={i: Fraction(v, den) for i, v in zip(vertices, nums)},
                 rounds=rounds,
             )
-        i, j = edges[rng.randint_below(len(edges))]
-        pair = nums[i] + nums[j]
+        k = draw(m)
+        a, b = pairs[k]
+        pair = nums[a] + nums[b]
         if pair & 1:
-            for k in nums:
-                nums[k] <<= 1
+            nums = [v << 1 for v in nums]
             pair <<= 1
             total <<= 1
             den <<= 1
-        nums[i] = nums[j] = pair >> 1
-        if sum(nums.values()) != total:
+            limit <<= 1
+        nums[a] = nums[b] = pair >> 1
+        if sum(nums) != total:
             raise InvariantError(f"gossip lost the sum in round {rounds + 1}")
         if on_exchange is not None:
+            i, j = edges[k]
             on_exchange(i, j, Fraction(pair >> 1, den))
         rounds += 1
-        spread = max(nums.values()) - min(nums.values())
-        trace.append(Fraction(spread, den))
+        spread = max(nums) - min(nums)
+        spreads.append(spread)
+        dens.append(den)
     return ConsensusResult(
-        per_agent={i: Fraction(v, den) for i, v in nums.items()},
+        per_agent={i: Fraction(v, den) for i, v in zip(vertices, nums)},
         rounds=rounds,
         messages=2 * rounds,
-        spread_trace=tuple(trace),
+        spread_trace=_SpreadTrace(spreads, dens, base),
     )
 
 

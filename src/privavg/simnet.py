@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
-from .consensus import ConsensusAlgo, InvariantError, finalize, gossip_avg
+from .consensus import ConsensusAlgo, InvariantError, _SpreadTrace, finalize, gossip_avg
 from .masking import (
     MaskShareMsg,
     ProtocolParams,
@@ -98,7 +98,7 @@ class RunReport:
     adversary: Optional[tuple[int, ...]] = None
     view: Optional[AdversaryView] = None
     events: tuple[str, ...] = ()
-    gossip_spread: tuple[Fraction, ...] = ()
+    gossip_spread: Sequence[Fraction] = ()
 
     @property
     def average(self) -> Fraction:
@@ -134,8 +134,9 @@ class RunReport:
                 lines.append(f"view_diff {a} {b} {v.incident_differences[(a, b)]}")
             for line in v.transcript:
                 lines.append(f"transcript {line}")
-        for r, s in enumerate(self.gossip_spread, start=1):
-            lines.append(f"spread {r} {s}")
+        spread = self.gossip_spread
+        texts = spread.texts() if isinstance(spread, _SpreadTrace) else map(str, spread)
+        lines.extend(f"spread {r} {s}" for r, s in enumerate(texts, start=1))
         for line in self.events:
             lines.append(f"event {line}")
         lines.append("end")
@@ -383,7 +384,7 @@ def simulate(
     if any(len(box) != t.n for box in heard["done"].values()):
         raise InvariantError("schedule deadlock: phase 1 unfinished on a connected graph")
 
-    spread_trace: tuple[Fraction, ...] = ()
+    spread_trace: Sequence[Fraction] = ()
     if algo.variant == "flood_sum":
         if any(len(box) != t.n for box in heard["value"].values()):
             raise InvariantError("flooding ended before every agent heard every origin")

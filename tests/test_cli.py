@@ -267,6 +267,8 @@ def test_max_delay_below_one_exits_two_naming_line(tmp_path, capsys, max_delay):
         ("", "", ["--seed", "-1"], "--seed: expected an integer in [0, 2**64), got -1"),
         ("", "", ["--seed", "x"], "--seed: expected an integer, got 'x'"),
         ("", "", ["--algo", "push"], "--algo: expected one of flood, gossip, got 'push'"),
+        ("q1 = 0", "q1 = 10", [],
+         "line 7: [experiment] q2: expected an integer >= q1 = 10, got 9"),
     ],
 )
 def test_bad_values_exit_two_naming_the_line_or_flag(tmp_path, capsys, old, new, flags, complaint):
@@ -278,14 +280,15 @@ def test_bad_values_exit_two_naming_the_line_or_flag(tmp_path, capsys, old, new,
     assert captured.err.splitlines() == [f"config error: {complaint}"]
 
 
-def test_max_delay_past_64_bits_exits_one_naming_the_key(tmp_path, capsys):
+def test_max_delay_past_64_bits_exits_two_naming_the_line(tmp_path, capsys):
     cfg = tmp_path / "delay.cfg"
-    cfg.write_text(GOLDEN_CFG.replace("algo = flood", f"algo = flood\nmax_delay = {2**64 + 1}"))
-    assert main(["run", "--config", str(cfg)]) == 1
+    cfg.write_text(GOLDEN_CFG.replace("algo = flood", f"algo = flood\nmax_delay = {2**64}"))
+    assert main(["run", "--config", str(cfg)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        "error: max_delay must be below 2**64, got 18446744073709551617"
+        "config error: line 5: [experiment] max_delay: expected an integer below 2**64, "
+        "got 18446744073709551616"
     ]
 
 
@@ -412,20 +415,26 @@ samples = {samples}
 
 
 @pytest.mark.parametrize(
-    "alpha_line, flags",
-    [("alpha = 0", []), ("alpha = -1", []), ("", ["--alpha", "0"]), ("", ["--alpha", "-1"])],
-    ids=["config-0", "config-minus-1", "flag-0", "flag-minus-1"],
+    "alpha_line, flags, complaint",
+    [
+        ("alpha = 0", [], "line 18: [audit] alpha: expected a real number in (0, 1), got 0.0"),
+        ("alpha = -1", [], "line 18: [audit] alpha: expected a real number in (0, 1), got -1.0"),
+        ("alpha = 1", [], "line 18: [audit] alpha: expected a real number in (0, 1), got 1.0"),
+        ("", ["--alpha", "0"], "--alpha: expected a real number in (0, 1), got 0.0"),
+        ("", ["--alpha", "-1"], "--alpha: expected a real number in (0, 1), got -1.0"),
+    ],
+    ids=["config-0", "config-minus-1", "config-1", "flag-0", "flag-minus-1"],
 )
-def test_alpha_outside_the_unit_interval_exits_one(tmp_path, capsys, alpha_line, flags):
+def test_alpha_outside_the_unit_interval_exits_two_naming_line(
+    tmp_path, capsys, alpha_line, flags, complaint
+):
     # listener 2 cuts the path: the pair leaks (p-value 0), which alpha <= 0 would pass
     cfg = tmp_path / "leak.cfg"
     cfg.write_text(LEAK_CFG.format(samples=2000, alpha=alpha_line))
-    assert main(["audit", "--config", str(cfg), *flags]) == 1
+    assert main(["audit", "--config", str(cfg), *flags]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    err = captured.err.splitlines()
-    assert len(err) == 1
-    assert err[0].startswith("error: alpha ")
+    assert captured.err.splitlines() == [f"config error: {complaint}"]
 
 
 def test_samples_below_one_exits_two_naming_line(tmp_path, capsys):

@@ -27,10 +27,12 @@ from privavg.audit import (
     enumerate_view_distribution,
     histogram_csv,
 )
-from privavg.consensus import ConsensusAlgo, ConvergenceError, gossip_avg
+import privavg.consensus
+from privavg.cli import parse_config, run_experiment
+from privavg.consensus import ConsensusAlgo, ConvergenceError, _SpreadTrace, gossip_avg
 from privavg.masking import AgentState, ProtocolParams, init_shares
-from privavg.residues import BLOCK, SeededRng
-from privavg.simnet import AdversarySpec, SimEvent, delivery_schedule, simulate
+from privavg.residues import BLOCK, Modulus, SeededRng
+from privavg.simnet import AdversarySpec, RunReport, SimEvent, delivery_schedule, simulate
 from privavg.topology import Topology
 
 from conftest import path3, random_connected_topology, ten_node_three_separators
@@ -163,6 +165,106 @@ def test_gossip_matches_fraction_gossip_when_out_of_rounds():
         _assert_same_gossip(fast, slow)
 
 
+def test_gossip_matches_fraction_gossip_on_odd_denominators():
+    # the lcm of the inputs' denominators is odd, so every spread's text
+    # needs the odd-part gcd as well as the stripped zero bits
+    rnd = random.Random(1729)
+    algo = ConsensusAlgo("gossip_avg", gossip_tolerance=Fraction(1, 10**5))
+    for trial in range(8):
+        t = random_connected_topology(rnd, rnd.randrange(2, 8))
+        values = {i: Fraction(rnd.randrange(-60, 60), rnd.choice((1, 3, 5, 9, 15, 21))) for i in t.vertices}
+        fast, slow = _gossip_both(t, values, algo, trial)
+        _assert_same_gossip(fast, slow)
+        trace, ref = fast[0].spread_trace, slow[0].spread_trace
+        assert list(trace.texts()) == [str(x) for x in ref]
+        assert list(trace.floats()) == [float(x) for x in ref]
+
+
+def test_spread_trace_formats_like_fractions():
+    rnd = random.Random(6174)
+    for base in (1, 3, 6, 10, 2**61 - 1):
+        for rounds in (1, 2, 40):
+            spreads, dens = [], []
+            den = base << rnd.randrange(3)
+            for _ in range(rounds):
+                den <<= rnd.choice((0, 0, 1, 5, 300))
+                s = rnd.choice((0, rnd.randrange(1, 4 * den), rnd.randrange(1, 50) * base << rnd.randrange(8)))
+                spreads.append(s)
+                dens.append(den)
+            trace = _SpreadTrace(spreads, dens, base)
+            want = tuple(Fraction(s, d) for s, d in zip(spreads, dens))
+            assert list(trace.texts()) == [str(x) for x in want]
+            assert list(trace.floats()) == [float(x) for x in want]
+            assert len(trace) == rounds and tuple(trace) == want
+            assert trace[-1] == want[-1] and trace[1:3] == want[1:3]
+            assert trace == want and want == trace and list(want) == trace
+            assert trace != want[:-1] and want[:-1] != trace
+    assert list(_SpreadTrace([0], [2**70 * 3], 3).texts()) == ["0"]
+    assert list(_SpreadTrace([0], [2**70 * 3], 3).floats()) == [0.0]
+    # past the float range the division underflows exactly as float(Fraction) does
+    tiny = _SpreadTrace([3, 1], [2**1100, 5 * 2**1074], 5)
+    assert list(tiny.floats()) == [float(Fraction(3, 2**1100)), float(Fraction(1, 5 * 2**1074))]
+
+
+def test_gossip_builds_fractions_per_agent_not_per_round(monkeypatch):
+    t = Topology(8, [(k, k + 1) for k in range(1, 8)] + [(1, 8)])
+    values = {i: Fraction(7 * i % 11, 3) for i in t.vertices}
+    algo = ConsensusAlgo("gossip_avg")
+    built = []
+
+    def counting_fraction(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(privavg.consensus, "Fraction", counting_fraction)
+    res = gossip_avg(t, values, algo, SeededRng(5, 1))
+    assert res.rounds > 50 * t.n
+    # the inputs on the way in, the per-agent results on the way out
+    assert len(built) <= 2 * t.n
+    list(res.spread_trace.texts())
+    list(res.spread_trace.floats())
+    assert len(built) <= 2 * t.n
+
+
+GOSSIP_RUN_CFG = """\
+[experiment]
+seed = 3
+algo = gossip
+p = 97
+q1 = 0
+q2 = 9
+
+[topology]
+n = 6
+edges = 1,2 2,3 3,4 4,5 5,6 1,6 2,5
+
+[inputs]
+values = 4 7 3 9 0 2
+
+[adversary]
+members = 2 5
+"""
+
+
+def test_gossip_report_round_trips_and_convergence_csv_matches_fraction_rows():
+    status, _, files = run_experiment(parse_config(GOSSIP_RUN_CFG), "run")
+    assert status == 0
+    rep = simulate(
+        Topology(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6), (2, 5)]),
+        (4, 7, 3, 9, 0, 2), ProtocolParams(n=6, q=10, p=Modulus(97)),
+        algo=ConsensusAlgo("gossip_avg"), adversary=AdversarySpec({2, 5}), seed=3,
+    )
+    assert isinstance(rep.gossip_spread, _SpreadTrace) and len(rep.gossip_spread) > 1
+    text = rep.to_text()
+    assert text == files["report.txt"]
+    parsed = RunReport.from_text(text)
+    assert isinstance(parsed.gossip_spread, tuple)
+    assert parsed == rep and rep == parsed
+    assert parsed.to_text() == text
+    rows = ["exchange,spread"] + [f"{i},{float(sp)!r}" for i, sp in enumerate(parsed.gossip_spread, 1)]
+    assert files["convergence.csv"] == "\n".join(rows) + "\n"
+
+
 def test_flood_smoke_at_one_hundred_agents():
     rnd = random.Random(100)
     n = 100
@@ -226,6 +328,30 @@ def test_buffered_draws_match_one_word_per_try():
         both(2**63 + 5)
         assert got == want
         assert words.words > 8 * BLOCK
+
+
+def test_cached_range_mask_follows_every_range_change():
+    # the mask of the last range is kept; a new range, good or bad, is checked afresh
+    rng, words = SeededRng(29, 1), _CountingWords(29, 1)
+
+    def both(n):
+        assert rng.randint_below(n) == reference_randint_below(words, n)
+
+    for n in [3, 3, 2**63 + 5, 3, 1, 2, 2**64 - 1, 2, 7, 7, 1, 7] * 40:
+        both(n)
+    for bad in (0, 2**64, -1):
+        both(5)
+        with pytest.raises(ValueError, match="range size"):
+            rng.randint_below(bad)
+        both(5)  # a refused range reads no word and leaves the cached one usable
+        both(6)
+    # a refused range is not cached: asked for again, it is refused again
+    for _ in range(2):
+        with pytest.raises(ValueError, match="range size"):
+            rng.randint_below(2**64)
+    both(6)
+    with pytest.raises(ValueError, match="range size"):
+        SeededRng(29, 2).randint_below(0)  # nothing cached yet
 
 
 def test_init_shares_matches_single_draws_with_partial_override():

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import privavg
 import privavg.simnet
-from privavg import AdversarySpec, ProtocolParams, Topology
+from privavg import AdversarySpec, ConsensusAlgo, ProtocolParams, Topology
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text()
@@ -85,3 +85,20 @@ def test_benchmark_tracer_sees_every_delivery_and_draw_of_a_flood_run():
     assert metrics["simnet.phase1_messages"] == traced.phase1_messages
     assert metrics["simnet.tie_candidates"] >= 1
     assert metrics["residues.draws"] > 0
+
+
+def test_benchmark_tracer_sees_every_round_and_draw_of_a_gossip_run():
+    # the tracer counts gossip rounds off the result of consensus.gossip_avg
+    # and draws by swapping SeededRng.randint_below, which gossip binds once
+    t = Topology(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6), (2, 5)])
+    args = (t, [3, 0, 7, 1, 9, 4], ProtocolParams.with_default_p(6, 10))
+    kw = dict(algo=ConsensusAlgo("gossip_avg"), adversary=AdversarySpec({2, 4}), seed=11)
+    plain = privavg.simnet.simulate(*args, **kw)
+    tracer = _tracing().Tracer()
+    with tracer.installed():
+        traced = privavg.simnet.simulate(*args, **kw)
+    metrics = tracer.layer_metrics(leaks_missed=0, out_bytes=0)
+    assert traced.to_text() == plain.to_text()
+    assert metrics["consensus.gossip_rounds"] == len(traced.gossip_spread) > 0
+    # one edge pick per round, besides the schedule's draws
+    assert metrics["residues.draws"] > metrics["consensus.gossip_rounds"]
