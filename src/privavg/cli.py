@@ -27,7 +27,7 @@ from .audit import (
     histogram_csv,
     sampled_view_test,
 )
-from .consensus import ConsensusAlgo, _SpreadTrace
+from .consensus import ConsensusAlgo
 from .masking import ProtocolParams
 from .residues import Modulus
 from .simnet import AdversarySpec, simulate
@@ -336,11 +336,10 @@ def _do_run(cfg: ExperimentConfig) -> tuple[int, str, dict[str, str]]:
         f"average = {average} (= {decimal_text(average)})",
     ]
     files = {"report.txt": report.to_text()}
-    spread = report.gossip_spread
+    spread = report.gossip_spread  # empty on flood; gossip's integer trace from simulate
     if spread:
-        floats = spread.floats() if isinstance(spread, _SpreadTrace) else map(float, spread)
         rows = ["exchange,spread"]
-        rows += [f"{i},{x!r}" for i, x in enumerate(floats, 1)]
+        rows += [f"{i},{x!r}" for i, x in enumerate(spread.floats(), 1)]
         files["convergence.csv"] = "\n".join(rows) + "\n"
     return 0, "\n".join(lines) + "\n", files
 

@@ -146,6 +146,12 @@ class _SpreadTrace(Sequence):
         return map(int.__truediv__, self._spreads, self._dens)
 
 
+def spread_texts(spread: Sequence[Fraction]) -> Iterator[str]:
+    """`str` of every round of a spread trace: a gossip run's `_SpreadTrace`
+    formats its integers, a plain sequence of `Fraction`s each item."""
+    return spread.texts() if isinstance(spread, _SpreadTrace) else map(str, spread)
+
+
 def _check_values(t: Topology, values: Mapping[int, Number]) -> None:
     if set(values) != set(t.vertices):
         raise ValueError("values must be keyed by every vertex exactly once")

@@ -138,15 +138,10 @@ class SeededRng:
         self.stream = key if len(key) != 1 else key[0]
         self._raw = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)).random_raw
         self._words: list[int] = []  # buffered words, the next one last
-        self._last_n: Optional[int] = None  # range of the last scalar draw
-        self._last_mask = 0  # and its mask
 
     def randint_below(self, n: int) -> int:
         """Uniform integer in [0, n) by masked rejection; n must fit in 64 bits."""
-        if n != self._last_n:
-            self._last_mask = _range_mask(n)
-            self._last_n = n
-        mask = self._last_mask
+        mask = _range_mask(n)
         if not mask:
             return 0
         words = self._words

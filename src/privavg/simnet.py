@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
-from .consensus import ConsensusAlgo, InvariantError, _SpreadTrace, finalize, gossip_avg
+from .consensus import ConsensusAlgo, InvariantError, finalize, gossip_avg, spread_texts
 from .masking import (
     MaskShareMsg,
     ProtocolParams,
@@ -134,8 +134,7 @@ class RunReport:
                 lines.append(f"view_diff {a} {b} {v.incident_differences[(a, b)]}")
             for line in v.transcript:
                 lines.append(f"transcript {line}")
-        spread = self.gossip_spread
-        texts = spread.texts() if isinstance(spread, _SpreadTrace) else map(str, spread)
+        texts = spread_texts(self.gossip_spread)
         lines.extend(f"spread {r} {s}" for r, s in enumerate(texts, start=1))
         for line in self.events:
             lines.append(f"event {line}")

@@ -330,30 +330,6 @@ def test_buffered_draws_match_one_word_per_try():
         assert words.words > 8 * BLOCK
 
 
-def test_cached_range_mask_follows_every_range_change():
-    # the mask of the last range is kept; a new range, good or bad, is checked afresh
-    rng, words = SeededRng(29, 1), _CountingWords(29, 1)
-
-    def both(n):
-        assert rng.randint_below(n) == reference_randint_below(words, n)
-
-    for n in [3, 3, 2**63 + 5, 3, 1, 2, 2**64 - 1, 2, 7, 7, 1, 7] * 40:
-        both(n)
-    for bad in (0, 2**64, -1):
-        both(5)
-        with pytest.raises(ValueError, match="range size"):
-            rng.randint_below(bad)
-        both(5)  # a refused range reads no word and leaves the cached one usable
-        both(6)
-    # a refused range is not cached: asked for again, it is refused again
-    for _ in range(2):
-        with pytest.raises(ValueError, match="range size"):
-            rng.randint_below(2**64)
-    both(6)
-    with pytest.raises(ValueError, match="range size"):
-        SeededRng(29, 2).randint_below(0)  # nothing cached yet
-
-
 def test_init_shares_matches_single_draws_with_partial_override():
     rnd = random.Random(515)
     for trial in range(8):
