@@ -2,15 +2,14 @@
 
 Two interchangeable routes: flooding the effective inputs (every agent learns
 the exact multiset and sums it; the event simulator in `simnet` runs it) or
-randomized pairwise-mean gossip run on exact rationals so that the conserved
-quantity never drifts. Either way the final step strips the modulus and
-divides by the agent count exactly. Gossip keeps its numerators, and the
-spread trace it returns, as integers over one shared dyadic denominator;
+randomized pairwise-mean gossip on whole numbers, run exactly so that the
+conserved quantity never drifts. Either way the final step strips the modulus
+and divides by the agent count exactly. Gossip keeps its numerators, and the
+spread trace it returns, as integers over one shared power-of-two denominator;
 `Fraction`s are built only when a caller reads them.
 """
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -93,18 +92,16 @@ class ConsensusResult:
 class _SpreadTrace(Sequence):
     """Gossip's spread after each round, read-only, built as `Fraction`s on access.
 
-    Round r holds the integer spread `spreads[r]` over the denominator
-    `dens[r]` in force then; every denominator is `base * 2**k`, with `base`
-    the lcm of the input denominators. It compares equal to a tuple or list
-    of the same `Fraction`s, and formats them without building any.
+    Round r holds the integer spread `spreads[r]` over the power-of-two
+    denominator `dens[r]` in force then. It compares equal to a tuple or list
+    of the same `Fraction`s; `spread_texts` formats it without building any.
     """
 
-    __slots__ = ("_spreads", "_dens", "_odd")
+    __slots__ = ("_spreads", "_dens")
 
-    def __init__(self, spreads: list[int], dens: list[int], base: int):
+    def __init__(self, spreads: list[int], dens: list[int]):
         self._spreads = spreads
         self._dens = dens
-        self._odd = base >> ((base & -base).bit_length() - 1)  # odd part of base
 
     def __len__(self) -> int:
         return len(self._spreads)
@@ -122,24 +119,6 @@ class _SpreadTrace(Sequence):
     def __repr__(self) -> str:
         return f"_SpreadTrace({tuple(self)!r})"
 
-    def texts(self) -> Iterator[str]:
-        """`str(Fraction(s, d))` for every round, reduced without a full-size gcd:
-        strip the common trailing zero bits, then divide out what the spread
-        shares with the odd part of `base`."""
-        odd = self._odd
-        for s, d in zip(self._spreads, self._dens):
-            if not s:
-                yield "0"
-                continue
-            k = min((s & -s).bit_length(), (d & -d).bit_length()) - 1
-            s >>= k
-            d >>= k
-            if odd > 1:
-                g = math.gcd(s, odd)
-                s //= g
-                d //= g
-            yield str(s) if d == 1 else f"{s}/{d}"
-
     def floats(self) -> Iterator[float]:
         """`float(Fraction(s, d))` for every round: int true division rounds
         correctly, so `s / d` is the same float."""
@@ -148,8 +127,21 @@ class _SpreadTrace(Sequence):
 
 def spread_texts(spread: Sequence[Fraction]) -> Iterator[str]:
     """`str` of every round of a spread trace: a gossip run's `_SpreadTrace`
-    formats its integers, a plain sequence of `Fraction`s each item."""
-    return spread.texts() if isinstance(spread, _SpreadTrace) else map(str, spread)
+    from its integers, a plain sequence of `Fraction`s from their numerators
+    and denominators. Stripping the common trailing zero bits reduces either,
+    since a power-of-two denominator shares no other factor with its spread."""
+    if isinstance(spread, _SpreadTrace):
+        pairs = zip(spread._spreads, spread._dens)
+    else:
+        pairs = ((x.numerator, x.denominator) for x in spread)
+    for s, d in pairs:
+        if not s:
+            yield "0"
+            continue
+        k = min((s & -s).bit_length(), (d & -d).bit_length()) - 1
+        s >>= k
+        d >>= k
+        yield str(s) if d == 1 else f"{s}/{d}"
 
 
 def _check_values(t: Topology, values: Mapping[int, Number]) -> None:
@@ -164,14 +156,15 @@ def gossip_avg(
     rng: SeededRng,
     on_exchange: Optional[Callable[[int, int, Fraction], None]] = None,
 ) -> ConsensusResult:
-    """Randomized pairwise-mean gossip on exact rationals.
+    """Randomized pairwise-mean gossip on whole numbers, exact to the last bit.
 
-    One uniformly random edge activates per round and its endpoints move to
-    their mean. Values are held as integer numerators, in a list by vertex
-    position, over one shared denominator, at first the lcm of the input
-    denominators; the denominator and every numerator double only when a pair
-    sum is odd, so a round is integer arithmetic and the global sum is checked
-    unchanged after every one. The spread trace stays integer too (see
+    A value that is not a whole number (`Fraction(7, 3)`, 2.5) raises
+    ValueError naming its agent, before the first draw. One uniformly random
+    edge activates per round and its endpoints move to their mean. Values are
+    held as integer numerators, in a list by vertex position, over one shared
+    denominator, at first 1; it and every numerator double only when a pair
+    sum is odd, so it is a power of two, a round is integer arithmetic and
+    the global sum is checked unchanged after every one. The spread trace stays integer too (see
     `_SpreadTrace`); `Fraction`s are built only for the mean handed to
     `on_exchange` and for the results, and they equal those of pairwise
     `Fraction` means drawn with the same edge picks. Stops once max - min is
@@ -181,14 +174,16 @@ def gossip_avg(
     _check_values(t, values)
     _require_connected(t, "gossip")
     vertices = t.vertices
-    start = [Fraction(values[i]) for i in vertices]
-    base = den = math.lcm(*(v.denominator for v in start))
-    nums = [v.numerator * (den // v.denominator) for v in start]
+    nums = [int(values[i]) for i in vertices]
+    for i, v in zip(vertices, nums):
+        if v != values[i]:
+            raise ValueError(f"gossip takes whole numbers; agent {i} holds {values[i]}")
+    den = 1
     total = sum(nums)
     budget = algo.rounds_budget(t)
     goal = 2 * algo.gossip_tolerance
     goal_den = goal.denominator
-    limit = goal.numerator * den  # doubles with den, so the stop test stays integer
+    limit = goal.numerator  # times den, doubling with it, so the stop test stays integer
     edges = t.edges
     at = {v: k for k, v in enumerate(vertices)}
     pairs = [(at[i], at[j]) for i, j in edges]
@@ -228,7 +223,7 @@ def gossip_avg(
         per_agent={i: Fraction(v, den) for i, v in zip(vertices, nums)},
         rounds=rounds,
         messages=2 * rounds,
-        spread_trace=_SpreadTrace(spreads, dens, base),
+        spread_trace=_SpreadTrace(spreads, dens),
     )
 
 
