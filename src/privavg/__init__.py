@@ -21,9 +21,16 @@ from .audit import (
     sampled_view_test,
 )
 from .consensus import ConsensusAlgo, ConvergenceError, InvariantError, RoundingError
-from .masking import ProtocolError, ProtocolParams, build_states, edge_differences, exchange_shares
+from .masking import (
+    AdversarySpec,
+    ProtocolError,
+    ProtocolParams,
+    build_states,
+    edge_differences,
+    exchange_shares,
+)
 from .residues import Modulus, ModulusMismatchError, Residue, SeededRng
-from .simnet import AdversarySpec, RunReport, simulate
+from .simnet import RunReport, simulate
 from .topology import (
     Topology,
     connected_components,

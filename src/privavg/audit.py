@@ -24,8 +24,8 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
+from .masking import AdversarySpec
 from .residues import Modulus, SeededRng
-from .simnet import AdversarySpec
 from .topology import Topology, _require_vertices, connected_components, is_vertex_cut
 
 __all__ = [

@@ -10,8 +10,11 @@ spread trace it returns, as integers over one shared power-of-two denominator;
 """
 from __future__ import annotations
 
+import re
+import reprlib
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Union
 
@@ -139,9 +142,36 @@ def spread_texts(spread: Sequence[Fraction]) -> Iterator[str]:
             yield "0"
             continue
         k = min((s & -s).bit_length(), (d & -d).bit_length()) - 1
-        s >>= k
-        d >>= k
-        yield str(s) if d == 1 else f"{s}/{d}"
+        yield number_text(s >> k, d >> k)
+
+
+def number_text(num: Number, den: int = 1) -> str:
+    """`str` of an int or `Fraction`, or of `Fraction(num, den)` for ints in
+    lowest terms, at any size.
+
+    `str` of an int refuses more than `sys.get_int_max_str_digits()` digits
+    (4,300 by default); past that the digits come from `Decimal`, which is
+    exact and has no cap. Below it `str` stays the path.
+    """
+    try:
+        return str(num) if den == 1 else f"{num}/{den}"
+    except ValueError:
+        if den == 1:
+            num, den = num.numerator, num.denominator
+        return str(Decimal(num)) if den == 1 else f"{Decimal(num)}/{Decimal(den)}"
+
+
+def parse_number(text: str) -> Number:
+    """The int or `Fraction` that `number_text` wrote as `text`, at any size.
+
+    Anything but that exact form (`+3`, `1_0`, `1e9`, `-0`, `2/1`, `1/0`, a
+    non-ASCII digit) raises ValueError before a digit is converted.
+    """
+    m = re.fullmatch(r"(0|-?[1-9][0-9]*)(?:/([1-9][0-9]*))?", text)
+    if m is None or m[2] == "1":
+        raise ValueError(f"expected a number as a report writes it, got {reprlib.repr(text)}")
+    num = int(Decimal(m[1]))  # exact, and no cap on the digits
+    return num if m[2] is None else Fraction(num, int(Decimal(m[2])))
 
 
 def _check_values(t: Topology, values: Mapping[int, Number]) -> None:

@@ -3,8 +3,9 @@
 Each agent sends an independent uniform residue to every neighbor and adds
 what it received minus what it sent into a mask. Masks telescope to zero over
 the whole graph, so the masked (effective) inputs preserve the true sum while
-each one alone is uniform noise. This module holds only that mechanism; telling
-the other agents that a mask is set is the simulator's job (`simnet`).
+each one alone is uniform noise. This module holds only that mechanism and the
+coalition (`AdversarySpec`) its guarantee is stated against; telling the other
+agents that a mask is set is the simulator's job (`simnet`).
 """
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ from .residues import Modulus, Residue, SeededRng, sum_mod
 from .topology import Topology
 
 __all__ = [
+    "AdversarySpec",
     "AgentState",
     "EdgeDifference",
     "MaskShareMsg",
@@ -58,6 +60,17 @@ class ProtocolParams:
     def with_default_p(cls, n: int, q: int) -> "ProtocolParams":
         """Smallest safe modulus: n*(q-1) + 1."""
         return cls(n=n, q=q, p=Modulus(n * (q - 1) + 1))
+
+
+@dataclass(frozen=True)
+class AdversarySpec:
+    """Colluding agents, the coalition the masks' guarantee is stated against.
+    They run the protocol unmodified; only their tape differs."""
+
+    members: frozenset[int]
+
+    def __init__(self, members):
+        object.__setattr__(self, "members", frozenset(members))
 
 
 @dataclass(frozen=True)
@@ -198,8 +211,9 @@ def exchange_shares(
 ) -> None:
     """Run the whole exchange synchronously (draw everything, deliver everything).
 
-    The event simulator is the production path; this is the reference path for
-    audits and tests, valid because masks do not depend on delivery order.
+    The event simulator is the production path; this is the short one for
+    library callers and tests, valid because masks do not depend on delivery
+    order. Audits do not use it: they enumerate or sample edge differences.
     """
     pending = []
     for i in sorted(states):

@@ -15,12 +15,22 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
-from .consensus import ConsensusAlgo, InvariantError, finalize, gossip_avg, spread_texts
+from .consensus import (
+    ConsensusAlgo,
+    InvariantError,
+    finalize,
+    gossip_avg,
+    number_text,
+    parse_number,
+    spread_texts,
+)
 from .masking import (
+    AdversarySpec,
     MaskShareMsg,
     ProtocolParams,
     build_states,
@@ -61,16 +71,6 @@ class SimEvent(NamedTuple):
     payload: Union[MaskShareMsg, int, None]
 
 
-@dataclass(frozen=True)
-class AdversarySpec:
-    """Colluding agents. They run the protocol unmodified; only their tape differs."""
-
-    members: frozenset[int]
-
-    def __init__(self, members):
-        object.__setattr__(self, "members", frozenset(members))
-
-
 @dataclass
 class AdversaryView:
     """Everything the coalition ends up knowing: own inputs, every effective
@@ -108,30 +108,31 @@ class RunReport:
         return next(iter(values))
 
     def to_text(self) -> str:
+        num = number_text
         lines = [
             "runreport v1",
-            f"seed {self.seed}",
-            f"schedule_seed {'-' if self.schedule_seed is None else self.schedule_seed}",
+            f"seed {num(self.seed)}",
+            f"schedule_seed {'-' if self.schedule_seed is None else num(self.schedule_seed)}",
             f"config {self.config_hash}",
-            f"agents {self.n}",
+            f"agents {num(self.n)}",
             f"algo {self.algo_variant}",
-            f"ticks {self.ticks}",
-            f"phase1_messages {self.phase1_messages}",
-            f"phase2_messages {self.phase2_messages}",
-            f"average {self.average}",
+            f"ticks {num(self.ticks)}",
+            f"phase1_messages {num(self.phase1_messages)}",
+            f"phase2_messages {num(self.phase2_messages)}",
+            f"average {num(self.average)}",
         ]
         for i in sorted(self.averages):
-            lines.append(f"agent_average {i} {self.averages[i]}")
+            lines.append(f"agent_average {num(i)} {num(self.averages[i])}")
         if self.adversary is not None:
-            lines.append("adversary " + " ".join(map(str, self.adversary)))
+            lines.append("adversary " + " ".join(map(num, self.adversary)))
         if self.view is not None:
             v = self.view
             for i in sorted(v.adversary_inputs):
-                lines.append(f"view_input {i} {v.adversary_inputs[i]}")
+                lines.append(f"view_input {num(i)} {num(v.adversary_inputs[i])}")
             for i in sorted(v.all_effective_inputs):
-                lines.append(f"view_effective {i} {v.all_effective_inputs[i]}")
+                lines.append(f"view_effective {num(i)} {num(v.all_effective_inputs[i])}")
             for (a, b) in sorted(v.incident_differences):
-                lines.append(f"view_diff {a} {b} {v.incident_differences[(a, b)]}")
+                lines.append(f"view_diff {num(a)} {num(b)} {num(v.incident_differences[(a, b)])}")
             for line in v.transcript:
                 lines.append(f"transcript {line}")
         texts = spread_texts(self.gossip_spread)
@@ -143,12 +144,43 @@ class RunReport:
 
     @classmethod
     def from_text(cls, text: str) -> "RunReport":
-        lines = text.splitlines()
-        if not lines or lines[0] != "runreport v1" or lines[-1] != "end":
+        """Read back what `to_text` writes, and nothing else.
+
+        Every number must have the form `to_text` gives it, checked before it
+        is converted. A malformed line, or the first line that the parsed
+        report would not write back the same, raises ValueError naming it.
+        """
+        lines = text.split("\n")
+        if lines[0] != "runreport v1" or lines[-2:] != ["end", ""]:
             raise ValueError("not a v1 run report")
-        fields: dict[str, str] = {}
+
+        def whole(token: str) -> int:
+            value = parse_number(token)
+            if not isinstance(value, int):
+                raise ValueError(f"expected an integer, got {reprlib.repr(token)}")
+            return value
+
+        def fields(rest: str, count: int) -> list[str]:
+            parts = rest.split(" ")
+            if len(parts) != count:
+                raise ValueError(f"expected {count} fields, got {len(parts)}")
+            return parts
+
+        once = {
+            "seed": whole,
+            "schedule_seed": lambda rest: None if rest == "-" else whole(rest),
+            "config": str,
+            "agents": whole,
+            "algo": str,
+            "ticks": whole,
+            "phase1_messages": whole,
+            "phase2_messages": whole,
+            "average": lambda rest: Fraction(parse_number(rest)),
+            "adversary": lambda rest: tuple(map(whole, rest.split(" "))) if rest else (),
+        }
+        head: dict = {}
+        where: dict[str, int] = {}
         averages: dict[int, Fraction] = {}
-        adversary: Optional[tuple[int, ...]] = None
         view_inputs: dict[int, int] = {}
         view_eff: dict[int, int] = {}
         view_diff: dict[tuple[int, int], int] = {}
@@ -156,59 +188,74 @@ class RunReport:
         spread: list[Fraction] = []
         events: list[str] = []
         saw_view = False
-        for line in lines[1:-1]:
+        for lineno, line in enumerate(lines[1:-2], start=2):
             tag, _, rest = line.partition(" ")
-            if tag in ("seed", "schedule_seed", "config", "agents", "algo", "ticks",
-                       "phase1_messages", "phase2_messages", "average"):
-                fields[tag] = rest
-            elif tag == "agent_average":
-                i, val = rest.split(" ", 1)
-                averages[int(i)] = Fraction(val)
-            elif tag == "adversary":
-                adversary = tuple(int(x) for x in rest.split()) if rest else ()
-            elif tag == "view_input":
-                saw_view = True
-                i, val = rest.split()
-                view_inputs[int(i)] = int(val)
-            elif tag == "view_effective":
-                saw_view = True
-                i, val = rest.split()
-                view_eff[int(i)] = int(val)
-            elif tag == "view_diff":
-                saw_view = True
-                a, b, val = rest.split()
-                view_diff[(int(a), int(b))] = int(val)
-            elif tag == "transcript":
-                saw_view = True
-                transcript.append(rest)
-            elif tag == "spread":
-                _, val = rest.split(" ", 1)
-                spread.append(Fraction(val))
-            elif tag == "event":
-                events.append(rest)
-            else:
-                raise ValueError(f"unknown report line {line!r}")
-        view = None
-        if saw_view:
-            view = AdversaryView(view_inputs, view_eff, view_diff, tuple(transcript))
+            try:
+                if tag in once:
+                    if tag in head:
+                        raise ValueError(f"repeated {tag} line")
+                    head[tag] = once[tag](rest)
+                    where[tag] = lineno
+                elif tag == "agent_average":
+                    i, val = fields(rest, 2)
+                    averages[whole(i)] = Fraction(parse_number(val))
+                elif tag == "view_input":
+                    i, val = fields(rest, 2)
+                    view_inputs[whole(i)] = whole(val)
+                elif tag == "view_effective":
+                    i, val = fields(rest, 2)
+                    view_eff[whole(i)] = whole(val)
+                elif tag == "view_diff":
+                    a, b, val = fields(rest, 3)
+                    view_diff[(whole(a), whole(b))] = whole(val)
+                elif tag == "transcript":
+                    transcript.append(rest)
+                elif tag == "spread":
+                    r, val = fields(rest, 2)
+                    if whole(r) != len(spread) + 1:
+                        raise ValueError(f"expected spread round {len(spread) + 1}")
+                    spread.append(Fraction(parse_number(val)))
+                elif tag == "event":
+                    events.append(rest)
+                else:
+                    raise ValueError(f"unknown report line {reprlib.repr(line)}")
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
+            saw_view = saw_view or tag.startswith("view_") or tag == "transcript"
         try:
-            return cls(
-                seed=int(fields["seed"]),
-                schedule_seed=None if fields["schedule_seed"] == "-" else int(fields["schedule_seed"]),
-                config_hash=fields["config"],
-                n=int(fields["agents"]),
-                algo_variant=fields["algo"],
+            n, average = head["agents"], head["average"]
+            report = cls(
+                seed=head["seed"],
+                schedule_seed=head["schedule_seed"],
+                config_hash=head["config"],
+                n=n,
+                algo_variant=head["algo"],
                 averages=averages,
-                phase1_messages=int(fields["phase1_messages"]),
-                phase2_messages=int(fields["phase2_messages"]),
-                ticks=int(fields["ticks"]),
-                adversary=adversary,
-                view=view,
+                phase1_messages=head["phase1_messages"],
+                phase2_messages=head["phase2_messages"],
+                ticks=head["ticks"],
+                adversary=head.get("adversary"),
+                view=AdversaryView(view_inputs, view_eff, view_diff, tuple(transcript))
+                if saw_view else None,
                 events=tuple(events),
                 gossip_spread=tuple(spread),
             )
         except KeyError as exc:
             raise ValueError(f"run report has no {exc.args[0]} line") from None
+        if n != len(averages) or list(averages) != list(range(1, n + 1)):
+            raise ValueError(
+                f"line {where['agents']}: expected agents {len(averages)}, one per "
+                "agent_average line, numbered from 1"
+            )
+        if set(averages.values()) != {average}:
+            raise ValueError(f"line {where['average']}: not every agent's average")
+        # neither text has an empty line before its last, so if every zipped
+        # pair agrees the texts are equal
+        again = report.to_text().split("\n")
+        for lineno, (got, want) in enumerate(zip(lines, again), start=1):
+            if got != want:
+                raise ValueError(f"line {lineno}: {reprlib.repr(got)} is written {reprlib.repr(want)}")
+        return report
 
 
 def delivery_schedule(rng: SeededRng, due: list[SimEvent]) -> SimEvent:
@@ -396,7 +443,7 @@ def simulate(
 
         def record_exchange(i: int, j: int, mean: Fraction) -> None:
             if i in members or j in members:
-                exchange_log.append(f"{ticks} {len(exchange_log)} gossip {i} {j} {mean}")
+                exchange_log.append(f"{ticks} {len(exchange_log)} gossip {i} {j} {number_text(mean)}")
 
         res = gossip_avg(t, scaled, algo, grng, on_exchange=record_exchange if members else None)
         per_agent = res.per_agent

@@ -219,9 +219,11 @@ def load_topology_text(text: str) -> Topology:
         if parts[0] == "n":
             if n is not None:
                 raise ValueError(f"line {lineno}: repeated n line")
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(parts) != 2 or not parts[1].isdecimal():
                 raise ValueError(f"line {lineno}: expected 'n <count>'")
             n = int(parts[1])
+            if n < 1:
+                raise ValueError(f"line {lineno}: vertex count must be at least 1, got {n}")
         elif parts[0] == "e":
             if n is None:
                 raise ValueError(f"line {lineno}: edge before the n line")

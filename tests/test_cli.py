@@ -187,6 +187,16 @@ def test_topology_file_reference(tmp_path, capsys):
     assert "average = 14/3" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("count", ["\u00b2", "0"])
+def test_topology_file_names_the_line_of_a_bad_vertex_count(tmp_path, capsys, count):
+    (tmp_path / "bad.topo").write_text(f"n {count}\ne 1 2\n")
+    cfg = tmp_path / "ref.cfg"
+    cfg.write_text("[experiment]\nq2 = 9\n\n[topology]\nfile = bad.topo\n\n[inputs]\nvalues = 4 7\n")
+    assert main(["run", "--config", str(cfg)]) == 2
+    (err,) = capsys.readouterr().err.splitlines()
+    assert err.startswith(f"config error: [topology] file {tmp_path / 'bad.topo'}: line 1: ")
+
+
 def test_audit_histogram_csv_written(tmp_path, capsys):
     cfg = tmp_path / "pass.cfg"
     cfg.write_text(

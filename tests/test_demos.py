@@ -1,4 +1,8 @@
-"""Each demo script runs to completion and prints something."""
+"""Each demo script runs to completion and prints exactly its golden output.
+
+The goldens in `demo_output/` are the demos' stdout; every demo is seeded, so
+a change to them is a change to what the package computes.
+"""
 import os
 import subprocess
 import sys
@@ -8,6 +12,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = Path(__file__).resolve().parent / "demo_output"
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
@@ -17,4 +22,4 @@ def test_demo_runs(demo):
         [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip()
+    assert done.stdout == (GOLDEN / f"{demo.stem}.txt").read_text()

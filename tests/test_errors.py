@@ -10,6 +10,9 @@ from pathlib import Path
 
 import pytest
 
+import privavg
+import privavg.masking
+import privavg.simnet
 from privavg.consensus import ConvergenceError, InvariantError
 from privavg.simnet import RunReport
 
@@ -92,6 +95,25 @@ def test_import_does_not_load_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_audit_does_not_import_the_simulator():
+    # the package imports every module for its public names, so this stands
+    # the package in without running its __init__ to see what audit pulls in
+    proc = _python(
+        "-c",
+        "import sys, types; "
+        "pkg = types.ModuleType('privavg'); "
+        f"pkg.__path__ = [{str(PACKAGE)!r}]; "
+        "sys.modules['privavg'] = pkg; "
+        "import privavg.audit; "
+        "print(sorted(k for k in sys.modules if k.startswith('privavg.')))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.strip()
+    assert "privavg.audit" in loaded and "privavg.masking" in loaded
+    assert "privavg.simnet" not in loaded and "privavg.consensus" not in loaded
+    assert privavg.AdversarySpec is privavg.simnet.AdversarySpec is privavg.masking.AdversarySpec
 
 
 SAMPLED_CFG = """\
