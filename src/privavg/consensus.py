@@ -194,12 +194,12 @@ def gossip_avg(
     held as integer numerators, in a list by vertex position, over one shared
     denominator, at first 1; it and every numerator double only when a pair
     sum is odd, so it is a power of two, a round is integer arithmetic and
-    the global sum is checked unchanged after every one. The spread trace stays integer too (see
-    `_SpreadTrace`); `Fraction`s are built only for the mean handed to
-    `on_exchange` and for the results, and they equal those of pairwise
-    `Fraction` means drawn with the same edge picks. Stops once max - min is
-    within twice the tolerance; exceeding the round budget raises with the
-    partial state attached.
+    the global sum is checked unchanged after every one. The spread trace
+    stays integer too (see `_SpreadTrace`); `Fraction`s are built only for
+    the mean handed to `on_exchange` and for the results, and they equal
+    those of pairwise `Fraction` means drawn with the same edge picks. Stops
+    once max - min is within twice the tolerance; exceeding the round budget
+    raises with the partial state attached.
     """
     _check_values(t, values)
     _require_connected(t, "gossip")

@@ -249,12 +249,13 @@ class RunReport:
             )
         if set(averages.values()) != {average}:
             raise ValueError(f"line {where['average']}: not every agent's average")
-        # neither text has an empty line before its last, so if every zipped
-        # pair agrees the texts are equal
-        again = report.to_text().split("\n")
-        for lineno, (got, want) in enumerate(zip(lines, again), start=1):
-            if got != want:
-                raise ValueError(f"line {lineno}: {reprlib.repr(got)} is written {reprlib.repr(want)}")
+        again = report.to_text()
+        if again != text:
+            # both texts end in "end\n" with no empty line before, so some line differs
+            lineno, got, want = next(
+                (k, a, b) for k, (a, b) in enumerate(zip(lines, again.split("\n")), start=1) if a != b
+            )
+            raise ValueError(f"line {lineno}: {reprlib.repr(got)} is written {reprlib.repr(want)}")
         return report
 
 

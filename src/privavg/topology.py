@@ -221,7 +221,10 @@ def load_topology_text(text: str) -> Topology:
                 raise ValueError(f"line {lineno}: repeated n line")
             if len(parts) != 2 or not parts[1].isdecimal():
                 raise ValueError(f"line {lineno}: expected 'n <count>'")
-            n = int(parts[1])
+            try:
+                n = int(parts[1])
+            except ValueError as exc:  # past the int-string digit limit
+                raise ValueError(f"line {lineno}: {exc}") from None
             if n < 1:
                 raise ValueError(f"line {lineno}: vertex count must be at least 1, got {n}")
         elif parts[0] == "e":
