@@ -170,8 +170,11 @@ def parse_number(text: str) -> Number:
     m = re.fullmatch(r"(0|-?[1-9][0-9]*)(?:/([1-9][0-9]*))?", text)
     if m is None or m[2] == "1":
         raise ValueError(f"expected a number as a report writes it, got {reprlib.repr(text)}")
-    num = int(Decimal(m[1]))  # exact, and no cap on the digits
-    return num if m[2] is None else Fraction(num, int(Decimal(m[2])))
+    try:
+        num, den = int(m[1]), int(m[2] or 1)
+    except ValueError:  # past the int-string digit limit; Decimal has none
+        num, den = int(Decimal(m[1])), int(Decimal(m[2] or 1))
+    return num if m[2] is None else Fraction(num, den)
 
 
 def _check_values(t: Topology, values: Mapping[int, Number]) -> None:
