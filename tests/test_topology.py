@@ -168,8 +168,16 @@ def test_topology_text_errors_name_lines():
 
 def test_topology_text_names_the_line_of_every_bad_vertex_count():
     # superscript two is a digit but not a decimal, so int() refuses it
-    for count in ("\u00b2", "0", "00", "-1", "x", "3 4", "7" * 5000):
-        with pytest.raises(ValueError, match="^line 2: "):
+    for count, complaint in (
+        ("\u00b2", "expected 'n <count>'"),
+        ("-1", "expected 'n <count>'"),
+        ("x", "expected 'n <count>'"),
+        ("3 4", "expected 'n <count>'"),
+        ("0", "vertex count must be at least 1, got 0"),
+        ("00", "vertex count must be at least 1, got 0"),
+        ("7" * 5000, "Exceeds the limit"),
+    ):
+        with pytest.raises(ValueError, match=f"^line 2: {complaint}"):
             load_topology_text(f"# graph\nn {count}\ne 1 2\n")
     assert load_topology_text("n 03\ne 1 2\n").n == 3
 
