@@ -150,8 +150,7 @@ class RunReport:
         is converted. A malformed line, or the first line that the parsed
         report would not write back the same, raises ValueError naming it.
         """
-        lines = text.split("\n")
-        if lines[0] != "runreport v1" or lines[-2:] != ["end", ""]:
+        if not text.startswith("runreport v1\n") or not text.endswith("\nend\n"):
             raise ValueError("not a v1 run report")
 
         def whole(token: str) -> int:
@@ -188,7 +187,8 @@ class RunReport:
         spread: list[Fraction] = []
         events: list[str] = []
         saw_view = False
-        for lineno, line in enumerate(lines[1:-2], start=2):
+        # the lines are let go before the write-back below builds its own
+        for lineno, line in enumerate(text.split("\n")[1:-2], start=2):
             tag, _, rest = line.partition(" ")
             try:
                 if tag in once:
@@ -252,9 +252,8 @@ class RunReport:
         again = report.to_text()
         if again != text:
             # both texts end in "end\n" with no empty line before, so some line differs
-            lineno, got, want = next(
-                (k, a, b) for k, (a, b) in enumerate(zip(lines, again.split("\n")), start=1) if a != b
-            )
+            pairs = zip(text.split("\n"), again.split("\n"))
+            lineno, got, want = next((k, a, b) for k, (a, b) in enumerate(pairs, 1) if a != b)
             raise ValueError(f"line {lineno}: {reprlib.repr(got)} is written {reprlib.repr(want)}")
         return report
 
