@@ -315,7 +315,8 @@ def _require(cfg_value, what):
     return cfg_value
 
 
-def _do_run(cfg: ExperimentConfig) -> tuple[int, str, dict[str, str]]:
+def _do_run(cfg: ExperimentConfig, write: bool) -> tuple[int, str, dict[str, str]]:
+    """`privavg run`; report.txt and convergence.csv are built only if `write`."""
     xs = _require(cfg.inputs, "[inputs] values")
     q2 = _require(cfg.q2, "[experiment] q2")
     s, q, shift = normalize_inputs(xs, cfg.q1, q2)
@@ -335,6 +336,8 @@ def _do_run(cfg: ExperimentConfig) -> tuple[int, str, dict[str, str]]:
         f"agents = {t.n}  modulus = {params.p.value}  algo = {cfg.algo.variant}",
         f"average = {average} (= {decimal_text(average)})",
     ]
+    if not write:
+        return 0, "\n".join(lines) + "\n", {}
     files = {"report.txt": report.to_text()}
     spread = report.gossip_spread  # empty on flood; gossip's integer trace from simulate
     if spread:
@@ -401,8 +404,15 @@ def _do_graph_check(cfg: ExperimentConfig) -> tuple[int, str, dict[str, str]]:
 
 def run_experiment(cfg: ExperimentConfig, command: str) -> tuple[int, str, dict[str, str]]:
     """Run subcommand `command` on one validated config; returns (exit status, stdout, files)."""
+    return _run_command(cfg, command, write=True)
+
+
+def _run_command(
+    cfg: ExperimentConfig, command: str, write: bool
+) -> tuple[int, str, dict[str, str]]:
+    # only `run` skips building its files when nothing will write them
     if command == "run":
-        return _do_run(cfg)
+        return _do_run(cfg, write)
     if command == "audit":
         return _do_audit(cfg)
     return _do_graph_check(cfg)
@@ -446,7 +456,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         # what is left in args are the flags given, each named after its config key
         cfg = parse_config(text, base_dir=config_path.parent, flags=args)
-        status, text_out, files = run_experiment(cfg, command)
+        status, text_out, files = _run_command(cfg, command, write=out is not None)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -145,6 +145,13 @@ def spread_texts(spread: Sequence[Fraction]) -> Iterator[str]:
         yield number_text(s >> k, d >> k)
 
 
+def _ratio_text(num: int, den: int) -> str:
+    """`num / den` to three significant digits; past the float range, where
+    the float of a nonzero ratio underflows to 0, the digits come from `Decimal`."""
+    text = f"{num / den:.3g}"
+    return f"{Decimal(num) / Decimal(den):.3g}" if text == "0" and num else text
+
+
 def number_text(num: Number, den: int = 1) -> str:
     """`str` of an int or `Fraction`, or of `Fraction(num, den)` for ints in
     lowest terms, at any size.
@@ -225,23 +232,30 @@ def gossip_avg(
     spreads: list[int] = []
     dens: list[int] = []
     rounds = 0
-    spread = max(nums) - min(nums)
+    hi, lo = max(nums), min(nums)
+    spread = hi - lo
     while spread * goal_den > limit:  # spread / den > goal
         if rounds >= budget:
             raise ConvergenceError(
-                f"gossip spread still {spread / den:.3g} after {rounds} rounds",
+                f"gossip spread still {_ratio_text(spread, den)} after {rounds} rounds",
                 values={i: Fraction(v, den) for i, v in zip(vertices, nums)},
                 rounds=rounds,
             )
         k = draw(m)
         a, b = pairs[k]
-        pair = nums[a] + nums[b]
+        x, y = nums[a], nums[b]
+        pair = x + y
+        # the mean lies between x and y, so only an extreme they held can move
+        moved_hi = x == hi or y == hi
+        moved_lo = x == lo or y == lo
         if pair & 1:
             nums = [v << 1 for v in nums]
             pair <<= 1
             total <<= 1
             den <<= 1
             limit <<= 1
+            hi <<= 1
+            lo <<= 1
         nums[a] = nums[b] = pair >> 1
         if sum(nums) != total:
             raise InvariantError(f"gossip lost the sum in round {rounds + 1}")
@@ -249,7 +263,11 @@ def gossip_avg(
             i, j = edges[k]
             on_exchange(i, j, Fraction(pair >> 1, den))
         rounds += 1
-        spread = max(nums) - min(nums)
+        if moved_hi:
+            hi = max(nums)
+        if moved_lo:
+            lo = min(nums)
+        spread = hi - lo
         spreads.append(spread)
         dens.append(den)
     return ConsensusResult(

@@ -141,7 +141,9 @@ class SeededRng:
 
     def randint_below(self, n: int) -> int:
         """Uniform integer in [0, n) by masked rejection; n must fit in 64 bits."""
-        mask = _range_mask(n)
+        if not 0 < n < _U64:
+            _range_mask(n)  # raises, naming n
+        mask = (1 << (n - 1).bit_length()) - 1  # _range_mask(n), one call fewer per draw
         if not mask:
             return 0
         words = self._words

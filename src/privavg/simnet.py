@@ -1,9 +1,12 @@
 """Deterministic discrete-event network simulator with a passive eavesdropper.
 
 Integer ticks, seeded delays, and a seeded choice among same-tick deliveries
-make every run exactly reproducible from (scenario, seed). Protocol
-randomness and schedule randomness live on separate streams of the master
-seed (stream 0 drives the schedule, streams 1..n the per-agent shares,
+make every run exactly reproducible from (scenario, seed). Each send's delay
+is `1 + randint_below(max_delay)` on the schedule stream, the words of
+`randrange(1, max_delay)`; pending deliveries wait in one list per tick, and
+the earliest tick's list is drained in place, one seeded pick at a time.
+Protocol randomness and schedule randomness live on separate streams of the
+master seed (stream 0 drives the schedule, streams 1..n the per-agent shares,
 stream n+1 the gossip edge picks), so reshuffling deliveries can never change
 what anyone draws. Completion notices and, under flooding, effective inputs
 travel by one flood: an agent keeps the first copy from each origin and passes
@@ -14,7 +17,7 @@ is identical.
 from __future__ import annotations
 
 import hashlib
-import heapq
+from heapq import heappop, heappush
 import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
@@ -351,38 +354,32 @@ def simulate(
     due_at: dict[int, list[SimEvent]] = {}
     due_ticks: list[int] = []
     seq = 0
-    counts = {"share": 0, "done": 0, "value": 0}
+    draw = sched.randint_below
+    record = tuple.__new__  # SimEvent(...) without NamedTuple's Python-level __new__
     events: list[str] = []
     transcript: list[str] = []
     # per kind and agent, the first payload heard from each origin
     heard = {kind: {i: {} for i in t.vertices} for kind in ("done", "value")}
-
-    def send(
-        now: int, kind: str, sender: int, receiver: int, origin: int,
-        payload: Union[MaskShareMsg, int, None],
-    ) -> None:
-        nonlocal seq
-        at = now + sched.randrange(1, max_delay)
-        due = due_at.get(at)
-        if due is None:
-            due = due_at[at] = []
-            heapq.heappush(due_ticks, at)
-        due.append(SimEvent(at, seq, kind, sender, receiver, origin, payload))
-        seq += 1
-        counts[kind] += 1
+    done_heard, value_heard = heard["done"], heard["value"]
 
     def flood(
         kind: str, agent: int, origin: int, payload: Optional[int],
         came_from: Optional[int], now: int,
     ) -> bool:
-        """Pass on the first copy from each origin; True once all n are heard."""
+        """Keep the first copy from `origin`, which `agent` has not heard yet,
+        and send it to every neighbour but `came_from`; True once all n are heard."""
+        nonlocal seq
         box = heard[kind][agent]
-        if origin in box:
-            return False
         box[origin] = payload
         for nbr in nbrs[agent]:
             if nbr != came_from:
-                send(now, kind, agent, nbr, origin, payload)
+                at = now + 1 + draw(max_delay)  # the words of randrange(1, max_delay)
+                due = due_at.get(at)
+                if due is None:
+                    due = due_at[at] = []
+                    heappush(due_ticks, at)
+                due.append(record(SimEvent, (at, seq, kind, agent, nbr, origin, payload)))
+                seq += 1
         return len(box) == t.n
 
     def all_done(agent: int, now: int) -> None:
@@ -395,47 +392,55 @@ def simulate(
 
     for i in sorted(t.vertices):
         for msg in init_shares(states[i], share_rngs[i], share_override):
-            send(0, "share", msg.sender, msg.receiver, msg.sender, msg)
+            at = 1 + draw(max_delay)
+            due = due_at.get(at)
+            if due is None:
+                due = due_at[at] = []
+                heappush(due_ticks, at)
+            due.append(SimEvent(at, seq, "share", msg.sender, msg.receiver, msg.sender, msg))
+            seq += 1
     for i in sorted(t.vertices):
         # isolated in a 1-vertex graph: done at once
         if states[i].mask is not None and flood("done", i, i, None, None, 0):
             all_done(i, 0)
 
-    ticks = 0
+    ticks = values = 0
     while due_ticks:
-        ticks = due_ticks[0]
-        due = due_at[ticks]
-        at, order, kind, sender, receiver, origin, payload = delivery_schedule(sched, due)
-        if not due:
-            heapq.heappop(due_ticks)
-            del due_at[ticks]
-        if kind == "share":
-            line = f"{at} {order} share {sender} {receiver} {payload.share.value}"
-            finished = receive_share(states[receiver], payload) is not None
-            if finished and flood("done", receiver, receiver, None, None, at):
-                all_done(receiver, at)
-        elif kind == "done":
-            line = f"{at} {order} done {sender} {receiver} {origin}"
-            if flood("done", receiver, origin, None, sender, at):
-                all_done(receiver, at)
-        else:
-            line = f"{at} {order} value {sender} {receiver} {origin}:{payload}"
-            flood("value", receiver, origin, payload, sender, at)
-        events.append(line)
-        if receiver in members:
-            transcript.append(line)
+        ticks = heappop(due_ticks)
+        due = due_at.pop(ticks)
+        while due:
+            at, order, kind, sender, receiver, origin, payload = delivery_schedule(sched, due)
+            if kind == "done":
+                line = f"{at} {order} done {sender} {receiver} {origin}"
+                if origin not in done_heard[receiver] and flood(
+                    "done", receiver, origin, None, sender, at
+                ):
+                    all_done(receiver, at)
+            elif kind == "value":
+                values += 1
+                line = f"{at} {order} value {sender} {receiver} {origin}:{payload}"
+                if origin not in value_heard[receiver]:
+                    flood("value", receiver, origin, payload, sender, at)
+            else:
+                line = f"{at} {order} share {sender} {receiver} {payload.share.value}"
+                finished = receive_share(states[receiver], payload) is not None
+                if finished and flood("done", receiver, receiver, None, None, at):
+                    all_done(receiver, at)
+            events.append(line)
+            if receiver in members:
+                transcript.append(line)
 
     # an agent sends its own notice only once its mask is set, so hearing
     # every notice means every mask is set
-    if any(len(box) != t.n for box in heard["done"].values()):
+    if any(len(box) != t.n for box in done_heard.values()):
         raise InvariantError("schedule deadlock: phase 1 unfinished on a connected graph")
 
     spread_trace: Sequence[Fraction] = ()
     if algo.variant == "flood_sum":
-        if any(len(box) != t.n for box in heard["value"].values()):
+        if any(len(box) != t.n for box in value_heard.values()):
             raise InvariantError("flooding ended before every agent heard every origin")
-        per_agent = {i: Fraction(sum(box.values())) for i, box in heard["value"].items()}
-        rounds_messages = counts["value"]
+        per_agent = {i: Fraction(sum(box.values())) for i, box in value_heard.items()}
+        rounds_messages = values
     else:
         grng = SeededRng(seed, t.n + 1)
         scaled = {i: t.n * int(states[i].effective_input) for i in t.vertices}
@@ -476,7 +481,7 @@ def simulate(
         n=t.n,
         algo_variant=algo.variant,
         averages=averages,
-        phase1_messages=counts["share"] + counts["done"],
+        phase1_messages=seq - values,
         phase2_messages=rounds_messages,
         ticks=ticks,
         adversary=tuple(sorted(members)) if adversary is not None else None,

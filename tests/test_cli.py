@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from privavg.cli import ConfigError, decimal_text, main, normalize_inputs, parse_config
+from privavg.consensus import _SpreadTrace
 from privavg.simnet import RunReport
 
 GOLDEN_CFG = """\
@@ -153,6 +154,24 @@ def test_report_file_round_trips(tmp_path, capsys):
     capsys.readouterr()
     text = (out_dir / "report.txt").read_text()
     assert RunReport.from_text(text).to_text() == text
+
+
+@pytest.mark.parametrize("algo", ["flood", "gossip"])
+def test_run_without_out_formats_no_files(tmp_path, capsys, monkeypatch, algo):
+    # report.txt and convergence.csv are built only when --out will write them
+    cfg = tmp_path / "golden.cfg"
+    cfg.write_text(GOLDEN_CFG)
+    argv = ["run", "--config", str(cfg), "--algo", algo]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+    written = capsys.readouterr().out
+
+    def refuse(*args):
+        raise AssertionError("formatted a file that nothing writes")
+
+    monkeypatch.setattr(RunReport, "to_text", refuse)
+    monkeypatch.setattr(_SpreadTrace, "floats", refuse)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == written
 
 
 def test_algo_and_seed_overrides(tmp_path, capsys):

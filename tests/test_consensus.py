@@ -5,6 +5,7 @@ Flooding runs inside the event simulator, so its tests drive `simulate`.
 from __future__ import annotations
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -105,6 +106,21 @@ def test_gossip_round_budget_exhaustion_carries_state():
         gossip_avg(path3(), {1: 0, 2: 0, 3: 1}, algo, SeededRng(3, 99))
     assert info.value.rounds == 1
     assert sum(info.value.values.values()) == 1
+
+
+def test_gossip_out_of_rounds_names_a_spread_past_the_float_range():
+    # at tolerance 10^-1300 the spread left after 10,000 rounds is below the
+    # smallest float, so the float of it reads 0; the message must not
+    t = Topology(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6), (1, 4)])
+    values = {i: 6 * x for i, x in zip(t.vertices, [3, 0, 7, 1, 9, 4])}
+    algo = ConsensusAlgo("gossip_avg", Fraction(1, 10**1300), max_rounds=10_000)
+    with pytest.raises(ConvergenceError) as info:
+        gossip_avg(t, values, algo, SeededRng(0, 7))
+    left = max(info.value.values.values()) - min(info.value.values.values())
+    assert left > 0 and float(left) == 0.0
+    want = Decimal(left.numerator) / Decimal(left.denominator)
+    assert str(info.value) == f"gossip spread still {want:.3g} after 10000 rounds"
+    assert Decimal(str(info.value).split()[3]) > 0
 
 
 def test_algo_validation_and_budget():

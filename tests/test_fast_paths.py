@@ -50,7 +50,7 @@ from reference import (
 )
 
 
-def _instances():
+def _instances(variant: str):
     rnd = random.Random(4242)
     cases = []
     for k in range(6):
@@ -60,6 +60,15 @@ def _instances():
         inputs = [rnd.randrange(q) for _ in range(n)]
         cases.append((t, inputs, q, k))
     cases.append((ten_node_three_separators(), [3, 1, 0, 2, 3, 1, 1, 0, 2, 3], 4, 6))
+    if variant == "flood_sum":
+        # a 30-ring with 4 chords: each pick is among 59 same-tick candidates on
+        # average at max_delay 1, 24 at 4; gossip runs the same phase 1, and its
+        # Fraction reference would take seconds here
+        n = 30
+        edges = {(i, i + 1) for i in range(1, n)} | {(1, n)}
+        while len(edges) < n + 4:
+            edges.add(tuple(sorted(rnd.sample(range(1, n + 1), 2))))
+        cases.append((Topology(n, sorted(edges)), [rnd.randrange(5) for _ in range(n)], 5, 7))
     return cases
 
 
@@ -82,7 +91,7 @@ def _first_difference(fast: str, slow: str):
 @pytest.mark.parametrize("watched", [False, True])
 @pytest.mark.parametrize("schedule_seed", [None, 5])
 def test_simulate_matches_heap_scheduler_byte_for_byte(variant, max_delay, watched, schedule_seed):
-    for t, inputs, q, k in _instances():
+    for t, inputs, q, k in _instances(variant):
         params = ProtocolParams.with_default_p(t.n, q)
         kw = dict(
             algo=ConsensusAlgo(variant),
@@ -155,6 +164,27 @@ def test_gossip_matches_fraction_gossip_when_out_of_rounds():
         fast, slow = _gossip_both(t, values, algo, budget)
         assert isinstance(slow[0], ConvergenceError)
         _assert_same_gossip(fast, slow)
+
+
+def test_gossip_matches_fraction_gossip_when_agents_share_an_extreme():
+    # several agents hold the max or the min, and odd pair sums double every
+    # numerator while they do; the running extremes must equal a full rescan
+    ring = Topology(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
+    path = Topology(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6)])
+    star = Topology(6, [(1, k) for k in range(2, 7)])
+    cases = [
+        (ring, [9, 9, 0, 0, 4]),
+        (ring, [0, 9, 0, 9, 4]),
+        (path, [3, 3, 3, 3, 3, 0]),
+        (path, [0, 0, 0, 7, 0, 0]),
+        (star, [5, 8, 8, 8, 8, 8]),
+        (star, [-3, -3, 4, -3, -3, 4]),
+    ]
+    for budget in (None, 3, 40):
+        algo = ConsensusAlgo("gossip_avg", Fraction(1, 10**6), max_rounds=budget)
+        for k, (t, xs) in enumerate(cases):
+            values = dict(zip(t.vertices, xs))
+            _assert_same_gossip(*_gossip_both(t, values, algo, k))
 
 
 def test_gossip_refuses_values_that_are_not_whole_numbers():
