@@ -342,7 +342,7 @@ def _do_run(cfg: ExperimentConfig, write: bool) -> tuple[int, str, dict[str, str
     spread = report.gossip_spread  # empty on flood; gossip's integer trace from simulate
     if spread:
         rows = ["exchange,spread"]
-        rows += [f"{i},{x!r}" for i, x in enumerate(spread.floats(), 1)]
+        rows += [f"{i},{x}" for i, x in enumerate(spread.float_texts(), 1)]
         files["convergence.csv"] = "\n".join(rows) + "\n"
     return 0, "\n".join(lines) + "\n", files
 

@@ -5,17 +5,20 @@ the exact multiset and sums it; the event simulator in `simnet` runs it) or
 randomized pairwise-mean gossip on whole numbers, run exactly so that the
 conserved quantity never drifts. Either way the final step strips the modulus
 and divides by the agent count exactly. Gossip keeps its numerators, and the
-spread trace it returns, as integers over one shared power-of-two denominator;
-`Fraction`s are built only when a caller reads them.
+spread trace it returns, as integers over one shared power-of-two denominator,
+the trace as runs of rounds with equal spread; `Fraction`s are built only when
+a caller reads them.
 """
 from __future__ import annotations
 
 import re
 import reprlib
+from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
+from itertools import chain, repeat
 from typing import Callable, Mapping, Optional, Union
 
 from .masking import ProtocolParams
@@ -93,26 +96,36 @@ class ConsensusResult:
 
 
 class _SpreadTrace(Sequence):
-    """Gossip's spread after each round, read-only, built as `Fraction`s on access.
+    """Gossip's spread after each round, read-only, as runs of equal value.
 
-    Round r holds the integer spread `spreads[r]` over the power-of-two
-    denominator `dens[r]` in force then. It compares equal to a tuple or list
-    of the same `Fraction`s; `spread_texts` formats it without building any.
+    Run j holds the integer spread `spreads[j]` over the power-of-two
+    denominator `dens[j]` in force in its first round, `starts[j]`; it lasts
+    until the next run starts or the trace's `rounds` end. Items are built as
+    `Fraction`s on access, so the trace compares equal to a tuple or list of
+    one `Fraction` per round; `spread_texts`, `floats` and `float_texts`
+    convert each run once and repeat the result for each of its rounds.
     """
 
-    __slots__ = ("_spreads", "_dens")
+    __slots__ = ("_spreads", "_dens", "_starts", "_rounds")
 
-    def __init__(self, spreads: list[int], dens: list[int]):
+    def __init__(self, spreads: list[int], dens: list[int], starts: list[int], rounds: int):
         self._spreads = spreads
         self._dens = dens
+        self._starts = starts
+        self._rounds = rounds
 
     def __len__(self) -> int:
-        return len(self._spreads)
+        return self._rounds
 
     def __getitem__(self, k):
         if isinstance(k, slice):
-            return tuple(map(Fraction, self._spreads[k], self._dens[k]))
-        return Fraction(self._spreads[k], self._dens[k])
+            return tuple(map(self.__getitem__, range(self._rounds)[k]))
+        r = range(self._rounds)[k]  # negative indices and IndexError as a tuple has them
+        j = bisect_right(self._starts, r) - 1
+        return Fraction(self._spreads[j], self._dens[j])
+
+    def __iter__(self) -> Iterator[Fraction]:
+        return self._per_round(Fraction)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (tuple, list, _SpreadTrace)):
@@ -122,27 +135,38 @@ class _SpreadTrace(Sequence):
     def __repr__(self) -> str:
         return f"_SpreadTrace({tuple(self)!r})"
 
+    def _per_round(self, convert: Callable[[int, int], object]) -> Iterator:
+        """`convert(spread, den)` once per run, yielded once per round of it."""
+        ends = self._starts[1:] + [self._rounds]
+        runs = zip(self._spreads, self._dens, self._starts, ends)
+        return chain.from_iterable(repeat(convert(s, d), e - b) for s, d, b, e in runs)
+
     def floats(self) -> Iterator[float]:
         """`float(Fraction(s, d))` for every round: int true division rounds
         correctly, so `s / d` is the same float."""
-        return map(int.__truediv__, self._spreads, self._dens)
+        return self._per_round(int.__truediv__)
+
+    def float_texts(self) -> Iterator[str]:
+        """`repr` of `floats()`, each run's formatted once."""
+        return self._per_round(lambda s, d: repr(s / d))
+
+
+def _spread_text(s: int, d: int) -> str:
+    """`str(Fraction(s, d))` for `s` and `d` with no common factor but 2, as a
+    spread over a power-of-two denominator or a `Fraction`'s own terms have:
+    stripping the common trailing zero bits reduces it."""
+    if not s:
+        return "0"
+    k = min((s & -s).bit_length(), (d & -d).bit_length()) - 1
+    return number_text(s >> k, d >> k)
 
 
 def spread_texts(spread: Sequence[Fraction]) -> Iterator[str]:
     """`str` of every round of a spread trace: a gossip run's `_SpreadTrace`
-    from its integers, a plain sequence of `Fraction`s from their numerators
-    and denominators. Stripping the common trailing zero bits reduces either,
-    since a power-of-two denominator shares no other factor with its spread."""
+    formatted once per run, a plain sequence of `Fraction`s once per item."""
     if isinstance(spread, _SpreadTrace):
-        pairs = zip(spread._spreads, spread._dens)
-    else:
-        pairs = ((x.numerator, x.denominator) for x in spread)
-    for s, d in pairs:
-        if not s:
-            yield "0"
-            continue
-        k = min((s & -s).bit_length(), (d & -d).bit_length()) - 1
-        yield number_text(s >> k, d >> k)
+        return spread._per_round(_spread_text)
+    return (_spread_text(x.numerator, x.denominator) for x in spread)
 
 
 def _ratio_text(num: int, den: int) -> str:
@@ -205,7 +229,10 @@ def gossip_avg(
     denominator, at first 1; it and every numerator double only when a pair
     sum is odd, so it is a power of two, a round is integer arithmetic and
     the global sum is checked unchanged after every one. The spread trace
-    stays integer too (see `_SpreadTrace`); `Fraction`s are built only for
+    stays integer too, as runs of equal value (see `_SpreadTrace`): a round
+    starts a run only if its spread over den differs from the last run's,
+    compared with that spread shifted left by every doubling since, and only
+    a round that moved the max or the min can; `Fraction`s are built only for
     the mean handed to `on_exchange` and for the results, and they equal
     those of pairwise `Fraction` means drawn with the same edge picks. Stops
     once max - min is within twice the tolerance; exceeding the round budget
@@ -231,6 +258,8 @@ def gossip_avg(
     m = len(edges)
     spreads: list[int] = []
     dens: list[int] = []
+    starts: list[int] = []
+    last = -1  # the last run's spread over den, doubling with it; -1 before the first run
     rounds = 0
     hi, lo = max(nums), min(nums)
     spread = hi - lo
@@ -256,25 +285,29 @@ def gossip_avg(
             limit <<= 1
             hi <<= 1
             lo <<= 1
+            last <<= 1
         nums[a] = nums[b] = pair >> 1
         if sum(nums) != total:
             raise InvariantError(f"gossip lost the sum in round {rounds + 1}")
         if on_exchange is not None:
             i, j = edges[k]
             on_exchange(i, j, Fraction(pair >> 1, den))
-        rounds += 1
         if moved_hi:
             hi = max(nums)
         if moved_lo:
             lo = min(nums)
         spread = hi - lo
-        spreads.append(spread)
-        dens.append(den)
+        if spread != last:  # a new value; a round that moved neither extreme keeps it
+            spreads.append(spread)
+            dens.append(den)
+            starts.append(rounds)
+            last = spread
+        rounds += 1
     return ConsensusResult(
         per_agent={i: Fraction(v, den) for i, v in zip(vertices, nums)},
         rounds=rounds,
         messages=2 * rounds,
-        spread_trace=_SpreadTrace(spreads, dens),
+        spread_trace=_SpreadTrace(spreads, dens, starts, rounds),
     )
 
 

@@ -188,6 +188,7 @@ class RunReport:
         view_diff: dict[tuple[int, int], int] = {}
         transcript: list[str] = []
         spread: list[Fraction] = []
+        spread_text = spread_value = None
         events: list[str] = []
         saw_view = False
         # the lines are let go before the write-back below builds its own
@@ -217,7 +218,9 @@ class RunReport:
                     r, val = fields(rest, 2)
                     if whole(r) != len(spread) + 1:
                         raise ValueError(f"expected spread round {len(spread) + 1}")
-                    spread.append(Fraction(parse_number(val)))
+                    if val != spread_text:  # a repeated value is parsed once
+                        spread_value, spread_text = Fraction(parse_number(val)), val
+                    spread.append(spread_value)
                 elif tag == "event":
                     events.append(rest)
                 else:

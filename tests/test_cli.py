@@ -169,7 +169,7 @@ def test_run_without_out_formats_no_files(tmp_path, capsys, monkeypatch, algo):
         raise AssertionError("formatted a file that nothing writes")
 
     monkeypatch.setattr(RunReport, "to_text", refuse)
-    monkeypatch.setattr(_SpreadTrace, "floats", refuse)
+    monkeypatch.setattr(_SpreadTrace, "float_texts", refuse)
     assert main(argv) == 0
     assert capsys.readouterr().out == written
 

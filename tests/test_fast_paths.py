@@ -27,9 +27,17 @@ from privavg.audit import (
     enumerate_view_distribution,
     histogram_csv,
 )
+import privavg.cli
 import privavg.consensus
 from privavg.cli import parse_config, run_experiment
-from privavg.consensus import ConsensusAlgo, ConvergenceError, _SpreadTrace, gossip_avg, spread_texts
+from privavg.consensus import (
+    ConsensusAlgo,
+    ConvergenceError,
+    _SpreadTrace,
+    gossip_avg,
+    number_text,
+    spread_texts,
+)
 from privavg.masking import AgentState, ProtocolParams, init_shares
 from privavg.residues import BLOCK, Modulus, SeededRng
 from privavg.simnet import AdversarySpec, RunReport, SimEvent, delivery_schedule, simulate
@@ -205,31 +213,72 @@ def test_gossip_refuses_values_that_are_not_whole_numbers():
     assert runs[0] == runs[1]
 
 
+def _run_trace(runs):
+    """A `_SpreadTrace` of (spread, den, rounds) runs, and its rounds as `Fraction`s."""
+    spreads, dens, starts, want = [], [], [], []
+    for s, d, length in runs:
+        spreads.append(s)
+        dens.append(d)
+        starts.append(len(want))
+        want += [Fraction(s, d)] * length
+    return _SpreadTrace(spreads, dens, starts, len(want)), tuple(want)
+
+
+def _assert_reads_like(trace, want):
+    assert list(spread_texts(trace)) == [str(x) for x in want]
+    assert list(spread_texts(want)) == [str(x) for x in want]
+    assert list(trace.floats()) == [float(x) for x in want]
+    assert list(trace.float_texts()) == [repr(float(x)) for x in want]
+    assert len(trace) == len(want) and tuple(trace) == want
+    every = range(-len(want), len(want))
+    assert [trace[k] for k in every] == [want[k] for k in every]
+    for k in (len(want), -len(want) - 1):
+        with pytest.raises(IndexError):
+            trace[k]
+    for k in (slice(1, 3), slice(-4, None), slice(None, None, -1), slice(1, None, 2), slice(3, 1)):
+        assert trace[k] == want[k]
+    assert trace == want and want == trace and list(want) == trace and trace == list(want)
+    assert trace != want[:-1] and want[:-1] != trace
+    other = want[:-1] + (want[-1] + 1,)
+    assert trace != other and other != trace
+
+
 def test_spread_trace_formats_like_fractions():
     rnd = random.Random(6174)
+    # one round per run
     for rounds in (1, 2, 40):
         for _ in range(4):
-            spreads, dens = [], []
+            runs = []
             den = 1 << rnd.randrange(3)
             for _ in range(rounds):
                 den <<= rnd.choice((0, 0, 1, 5, 300))
                 s = rnd.choice((0, rnd.randrange(1, 4 * den), rnd.randrange(1, 50) << rnd.randrange(8)))
-                spreads.append(s)
-                dens.append(den)
-            trace = _SpreadTrace(spreads, dens)
-            want = tuple(Fraction(s, d) for s, d in zip(spreads, dens))
-            assert list(spread_texts(trace)) == [str(x) for x in want]
-            assert list(spread_texts(want)) == [str(x) for x in want]
-            assert list(trace.floats()) == [float(x) for x in want]
-            assert len(trace) == rounds and tuple(trace) == want
-            assert trace[-1] == want[-1] and trace[1:3] == want[1:3]
-            assert trace == want and want == trace and list(want) == trace
-            assert trace != want[:-1] and want[:-1] != trace
-    assert list(spread_texts(_SpreadTrace([0], [2**70]))) == ["0"]
-    assert list(_SpreadTrace([0], [2**70]).floats()) == [0.0]
+                runs.append((s, den, 1))
+            _assert_reads_like(*_run_trace(runs))
+    # runs of 1 to 5 rounds, some holding the last run's value over a doubled
+    # denominator, some zero, some past the float range
+    for _ in range(30):
+        runs = []
+        den = 1 << rnd.randrange(3)
+        for _ in range(rnd.randrange(1, 12)):
+            length = rnd.randrange(1, 6)
+            if runs and rnd.random() < 0.25:
+                s, d, _ = runs[-1]
+                k = rnd.randrange(1, 4)
+                runs.append((s << k, d << k, length))
+                den = d << k
+                continue
+            den <<= rnd.choice((0, 1, 5, 300, 1100))
+            s = rnd.choice((0, rnd.randrange(1, 4 * den), rnd.randrange(1, 50) << rnd.randrange(8)))
+            runs.append((s, den, length))
+        _assert_reads_like(*_run_trace(runs))
+    zero, want = _run_trace([(0, 2**70, 3)])
+    assert list(spread_texts(zero)) == ["0"] * 3 and list(zero.floats()) == [0.0] * 3
+    _assert_reads_like(zero, want)
     # past the float range the division underflows exactly as float(Fraction) does
-    tiny = _SpreadTrace([3, 1], [2**1100, 2**1075])
-    assert list(tiny.floats()) == [float(Fraction(3, 2**1100)), float(Fraction(1, 2**1075))]
+    tiny, want = _run_trace([(3, 2**1100, 1), (1, 2**1075, 2), (2**1100, 2**1100, 4)])
+    assert list(tiny.floats()) == [float(Fraction(3, 2**1100))] + [float(Fraction(1, 2**1075))] * 2 + [1.0] * 4
+    _assert_reads_like(tiny, want)
 
 
 def test_gossip_builds_fractions_per_agent_not_per_round(monkeypatch):
@@ -249,6 +298,7 @@ def test_gossip_builds_fractions_per_agent_not_per_round(monkeypatch):
     assert len(built) <= t.n
     list(spread_texts(res.spread_trace))
     list(res.spread_trace.floats())
+    list(res.spread_trace.float_texts())
     assert len(built) <= t.n
 
 
@@ -288,6 +338,68 @@ def test_gossip_report_round_trips_and_convergence_csv_matches_fraction_rows():
     assert parsed == rep and rep == parsed
     assert parsed.to_text() == text
     rows = ["exchange,spread"] + [f"{i},{float(sp)!r}" for i, sp in enumerate(parsed.gossip_spread, 1)]
+    assert files["convergence.csv"] == "\n".join(rows) + "\n"
+
+
+RING30_EDGES = [(k, k % 30 + 1) for k in range(1, 31)] + [(k, k + 15) for k in range(1, 16, 3)]
+RING30_GOSSIP_CFG = f"""\
+[experiment]
+seed = 3
+algo = gossip
+q1 = 0
+q2 = 96
+tolerance = 1/2000
+
+[topology]
+n = 30
+edges = {" ".join(f"{i},{j}" for i, j in RING30_EDGES)}
+
+[inputs]
+values = {" ".join(str(x * 37 % 97) for x in range(30))}
+
+[adversary]
+members = 4 19
+"""
+
+
+def test_gossip_trace_keeps_and_formats_one_run_per_value(monkeypatch):
+    reports = []
+
+    def keep(*args, **kwargs):
+        reports.append(simulate(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(privavg.cli, "simulate", keep)
+    cfg = parse_config(RING30_GOSSIP_CFG)
+    status, _, files = run_experiment(cfg, "run")
+    assert status == 0
+    rep, = reports
+    trace = rep.gossip_spread
+    # the same gossip with every value a Fraction, one spread per round
+    scaled = {i: 30 * e for i, e in rep.view.all_effective_inputs.items()}
+    ref = reference_gossip_avg(cfg.topology, scaled, cfg.algo, SeededRng(cfg.seed, 31)).spread_trace
+    assert len(ref) > 2000 and trace == ref
+    # one run per stretch of equal value: fewer runs than rounds, no two adjacent equal
+    values = [x for r, x in enumerate(ref) if r == 0 or x != ref[r - 1]]
+    assert len(values) < len(ref) // 4
+    assert list(map(Fraction, trace._spreads, trace._dens)) == values
+    assert trace._starts == [r for r, x in enumerate(ref) if r == 0 or x != ref[r - 1]]
+    # each nonzero run is formatted once
+    formatted = []
+
+    def counting_number_text(*args):
+        formatted.append(args)
+        return number_text(*args)
+
+    monkeypatch.setattr(privavg.consensus, "number_text", counting_number_text)
+    assert rep.to_text() == files["report.txt"]
+    assert len(formatted) == sum(1 for x in values if x)
+    # the bytes are those of a spread line and a csv row per round from its Fraction
+    lines = files["report.txt"].split("\n")
+    first = lines.index(f"spread 1 {ref[0]}")
+    assert lines[first:first + len(ref)] == [f"spread {r} {x}" for r, x in enumerate(ref, 1)]
+    assert lines[first + len(ref)].startswith("event ")
+    rows = ["exchange,spread"] + [f"{r},{float(x)!r}" for r, x in enumerate(ref, 1)]
     assert files["convergence.csv"] == "\n".join(rows) + "\n"
 
 
