@@ -8,9 +8,10 @@ instead of the quadratically larger raw share space. Enumeration walks the
 space in chunks of 2^15 rows; each view row becomes one mixed-radix code
 (a Python int once p^width reaches 2^63, else int64), each chunk is counted
 with one 1-D sort and merged into a running sorted (code, count) pair, so
-memory follows the support, not p^|E|. The resulting histogram keeps the
-sorted (code, count) arrays: verdicts compare and count on them, and outcome
-tuples are decoded only on demand (histogram.csv, library callers). Sampled
+memory follows the support, not p^|E|. The resulting `Histogram` is a
+mapping from outcome tuple to count that keeps the sorted (code, count)
+arrays: verdicts and histogram.csv compare, count and format on them, and
+outcome tuples are decoded only when a caller reads it as a mapping. Sampled
 views are binned on the same codes. The default budget (10^7 rows, e.g. a
 6-vertex graph with 10 edges at p = 5) takes about 1.6 s on a 2-core x86 box.
 When the space is too big, a seeded two-sample chi-square over binned
@@ -50,66 +51,51 @@ class EnumerationBudgetError(ValueError):
     """The b-vector space is too large to enumerate; use sampled_view_test."""
 
 
-class _CodeCounts(Mapping):
-    """Outcome tuple -> count, held as sorted, duplicate-free mixed-radix codes
-    (base p, `width` digits, first digit most significant; see _count_rows)
-    with a parallel count array. The tuples are decoded on first iteration or
-    lookup; len() and equality with another such mapping read the arrays."""
+class Histogram(Mapping):
+    """Outcome tuple -> count, read-only, held as sorted, duplicate-free
+    mixed-radix codes (base p, `width` digits, first digit most significant;
+    see _count_rows) with a parallel `tallies` array. The tuples are decoded
+    on first iteration or lookup; len(), `total`, `rows()` and equality with
+    a histogram of the same p and width read the arrays."""
 
-    def __init__(self, codes: np.ndarray, counts: np.ndarray, p: int, width: int) -> None:
-        self.codes, self.counts, self.p, self.width = codes, counts, p, width
+    def __init__(self, codes: np.ndarray, tallies: np.ndarray, p: int, width: int) -> None:
+        self.codes, self.tallies, self.p, self.width = codes, tallies, p, width
         self._decoded: Optional[dict[tuple, int]] = None
+
+    @property
+    def counts(self) -> Histogram:
+        # the histogram itself, for callers that read `hist.counts`
+        return self
+
+    @property
+    def total(self) -> int:
+        return int(self.tallies.sum())
 
     def rows(self) -> np.ndarray:
         # the outcomes as digit rows, most significant digit first
         return _digits(self.codes, self.p, self.width)[:, ::-1]
 
-    def decoded(self) -> dict[tuple, int]:
+    def _decode(self) -> dict[tuple, int]:
         if self._decoded is None:
-            self._decoded = dict(zip(_row_tuples(self.rows()), self.counts.tolist()))
+            self._decoded = dict(zip(_row_tuples(self.rows()), self.tallies.tolist()))
         return self._decoded
 
     def __len__(self) -> int:
         return len(self.codes)
 
     def __iter__(self) -> Iterator[tuple]:
-        return iter(self.decoded())
+        return iter(self._decode())
 
     def __getitem__(self, outcome: tuple) -> int:
-        return self.decoded()[outcome]
+        return self._decode()[outcome]
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, _CodeCounts) and (self.p, self.width) == (other.p, other.width):
-            return np.array_equal(self.codes, other.codes) and np.array_equal(self.counts, other.counts)
-        return self.decoded() == other
+        if isinstance(other, Histogram) and (self.p, self.width) == (other.p, other.width):
+            return np.array_equal(self.codes, other.codes) and np.array_equal(self.tallies, other.tallies)
+        return self._decode() == other
 
     def __repr__(self) -> str:
-        return repr(self.decoded())
-
-
-@dataclass
-class Histogram:
-    """Counts per outcome tuple. Enumerated histograms hold them as sorted
-    view codes and decode tuples only when `counts` is iterated or indexed."""
-
-    counts: Mapping[tuple, int] = field(default_factory=dict)
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Histogram) and self.counts == other.counts
-
-    def _table(self) -> tuple[np.ndarray, np.ndarray]:
-        # (outcome rows, counts) as arrays in outcome order, with no tuples
-        # for enumerated ones, whose codes already sort as the outcomes do
-        c = self.counts
-        if isinstance(c, _CodeCounts):
-            return c.rows(), c.counts
-        items = sorted(c.items())
-        return (np.array([o for o, _ in items], dtype=object),
-                np.array([k for _, k in items], dtype=object))
+        return f"Histogram({self._decode()!r})"
 
 
 @dataclass
@@ -144,11 +130,10 @@ class AuditVerdict:
 
 
 def histogram_csv(hist: Histogram) -> str:
-    rows, counts = hist._table()
     lines = ["outcome,count"]
     lines += [
         f"\"{' '.join(map(str, row))}\",{count}"
-        for row, count in zip(rows.tolist(), counts.tolist())
+        for row, count in zip(hist.rows().tolist(), hist.tallies.tolist())
     ]
     return "\n".join(lines) + "\n"
 
@@ -267,7 +252,7 @@ def _enumerate_views(t: Topology, p: int, s: Sequence[int], cols: list[int], bud
     codes, counts = _count_rows(_view_rows(t, p, s, cols, next(chunks)), p)
     for b in chunks:
         codes, counts = _merge_counts(codes, counts, *_count_rows(_view_rows(t, p, s, cols, b), p))
-    return Histogram(_CodeCounts(codes, counts, p, t.n + len(cols)))
+    return Histogram(codes, counts, p, t.n + len(cols))
 
 
 def enumerate_mask_distribution(t: Topology, p, budget: int = DEFAULT_BUDGET) -> Histogram:
@@ -289,7 +274,7 @@ def _mask_uniformity_verdict(t: Topology, pv: int, hist: Histogram) -> AuditVerd
     # the verdict of check_mask_uniformity from an already enumerated histogram
     return _coset_uniformity_verdict(
         "mask-uniformity", t, pv, hist, 0,
-        count_values=np.unique(hist._table()[1]).tolist(),
+        count_values=np.unique(hist.tallies).tolist(),
         components=len(connected_components(t)),
     )
 
@@ -299,12 +284,11 @@ def _coset_uniformity_verdict(
 ) -> AuditVerdict:
     # outcomes uniform on the coset of vectors summing to `target` mod p, s + Im B
     # on a connected graph: p^(n-1) outcomes, p^(|E|-n+1) rows each; masks are s = 0
-    rows, counts = hist._table()
     expected_support = pv ** (t.n - 1)
     passed = (
-        len(counts) == expected_support
-        and np.unique(counts).tolist() == [pv ** (len(t.edges) - t.n + 1)]
-        and bool((rows.sum(axis=1) % pv == target).all())
+        len(hist) == expected_support
+        and np.unique(hist.tallies).tolist() == [pv ** (len(t.edges) - t.n + 1)]
+        and bool((hist.rows().sum(axis=1) % pv == target).all())
     )
     return AuditVerdict(
         claim=claim,
@@ -312,7 +296,7 @@ def _coset_uniformity_verdict(
         passed=passed,
         details={
             "p": pv,
-            "support_size": len(counts),
+            "support_size": len(hist),
             "expected_support": expected_support,
             **details,
         },
@@ -396,7 +380,7 @@ def check_view_indistinguishability(
             "coalition": sorted(members),
             "is_vertex_cut": cut,
             "claim_applies": not cut,
-            "support_size": len(h_s.counts),
+            "support_size": len(h_s),
         },
     )
 
@@ -485,7 +469,7 @@ def check_group_privacy(
         claim="group-privacy",
         method="exact_enumeration",
         passed=h_s == h_w,
-        details={**base_details, "support_size": len(h_s.counts)},
+        details={**base_details, "support_size": len(h_s)},
     )
 
 

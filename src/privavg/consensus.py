@@ -98,9 +98,10 @@ class ConsensusResult:
 class _SpreadTrace(Sequence):
     """Gossip's spread after each round, read-only, as runs of equal value.
 
-    Run j holds the integer spread `spreads[j]` over the power-of-two
-    denominator `dens[j]` in force in its first round, `starts[j]`; it lasts
-    until the next run starts or the trace's `rounds` end. Items are built as
+    Run j holds the integer spread `spreads[j]` over the denominator
+    `dens[j]`: in a gossip run the power of two in force in the run's first
+    round, `starts[j]`; in a report read back, the spread's lowest terms. A
+    run lasts until the next run starts or the trace's `rounds` end. Items are built as
     `Fraction`s on access, so the trace compares equal to a tuple or list of
     one `Fraction` per round; `spread_texts`, `floats` and `float_texts`
     convert each run once and repeat the result for each of its rounds.

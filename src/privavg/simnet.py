@@ -26,6 +26,7 @@ from typing import Mapping, NamedTuple, Optional, Sequence, Union
 from .consensus import (
     ConsensusAlgo,
     InvariantError,
+    _SpreadTrace,
     finalize,
     gossip_avg,
     number_text,
@@ -187,8 +188,12 @@ class RunReport:
         view_eff: dict[int, int] = {}
         view_diff: dict[tuple[int, int], int] = {}
         transcript: list[str] = []
-        spread: list[Fraction] = []
-        spread_text = spread_value = None
+        # the spread lines as runs of equal text, one (value, first round) each
+        spreads: list[int] = []
+        dens: list[int] = []
+        starts: list[int] = []
+        rounds = 0
+        spread_text = None
         events: list[str] = []
         saw_view = False
         # the lines are let go before the write-back below builds its own
@@ -216,11 +221,14 @@ class RunReport:
                     transcript.append(rest)
                 elif tag == "spread":
                     r, val = fields(rest, 2)
-                    if whole(r) != len(spread) + 1:
-                        raise ValueError(f"expected spread round {len(spread) + 1}")
+                    if whole(r) != rounds + 1:
+                        raise ValueError(f"expected spread round {rounds + 1}")
                     if val != spread_text:  # a repeated value is parsed once
-                        spread_value, spread_text = Fraction(parse_number(val)), val
-                    spread.append(spread_value)
+                        value, spread_text = parse_number(val), val
+                        spreads.append(value.numerator)
+                        dens.append(value.denominator)
+                        starts.append(rounds)
+                    rounds += 1
                 elif tag == "event":
                     events.append(rest)
                 else:
@@ -244,7 +252,7 @@ class RunReport:
                 view=AdversaryView(view_inputs, view_eff, view_diff, tuple(transcript))
                 if saw_view else None,
                 events=tuple(events),
-                gossip_spread=tuple(spread),
+                gossip_spread=_SpreadTrace(spreads, dens, starts, rounds) if rounds else (),
             )
         except KeyError as exc:
             raise ValueError(f"run report has no {exc.args[0]} line") from None

@@ -163,14 +163,33 @@ def incidence_matrix(t: Topology) -> np.ndarray:
     return m
 
 
+# Miller–Rabin with the prime bases up to 37 decides every n below this bound
+# (Sorenson and Webster 2015), far past the 2^64 that `Modulus` accepts
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_LIMIT = 318665857834031151167461
+
+
 def _is_prime(p: int) -> bool:
+    if p >= _MR_LIMIT:
+        raise ValueError(f"cannot decide whether {p} is prime: past {_MR_LIMIT}")
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for b in _MR_BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -180,25 +199,27 @@ def incidence_rank_mod_p(t: Topology, p: int) -> int:
     Incidence matrices are totally unimodular, so this equals the rational
     rank n - (number of connected components) for every prime p; callers use
     the equality as a cross-check, so it is recomputed honestly here by
-    elimination rather than assumed.
+    elimination rather than assumed. The elimination runs on Python ints,
+    since a product of two residues overflows int64 once p passes 2^32.
     """
     p = int(p)
     if not _is_prime(p):
         raise ValueError(f"rank over Z_p needs a prime modulus, got {p}")
-    a = incidence_matrix(t).astype(np.int64) % p
-    rows, cols = a.shape
+    rows = [[x % p for x in row] for row in incidence_matrix(t).tolist()]
     rank = 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, rows) if a[r, col] % p), None)
+    for col in range(len(t.edges)):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if pivot is None:
             continue
-        a[[rank, pivot]] = a[[pivot, rank]]
-        a[rank] = (a[rank] * pow(int(a[rank, col]), -1, p)) % p
-        for r in range(rows):
-            if r != rank and a[r, col]:
-                a[r] = (a[r] - int(a[r, col]) * a[rank]) % p
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        lead = rows[rank] = [x * inv % p for x in rows[rank]]
+        for r, row in enumerate(rows):
+            f = row[col]
+            if r != rank and f:
+                rows[r] = [(x - f * y) % p for x, y in zip(row, lead)]
         rank += 1
-        if rank == rows:
+        if rank == len(rows):
             break
     return rank
 

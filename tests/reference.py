@@ -15,7 +15,9 @@ rows by an incidence-matrix product (`reference_view_rows`), counts them with
 keys one key at a time, as the audits did before they worked on
 mixed-radix codes and columns; `reference_histogram_csv` formats
 `histogram.csv` from decoded, re-sorted outcome tuples. The fast paths in
-`privavg` must reproduce them byte for byte.
+`privavg` must reproduce them byte for byte. `histogram_from_counts` turns a
+hand-made {outcome: count} dict into the `Histogram` the audits build, for
+tests that need one.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from privavg.audit import Histogram, _b_chunks, _row_tuples, _space_size
+from privavg.audit import Histogram, _b_chunks, _count_rows, _row_tuples, _space_size
 from privavg.consensus import ConsensusAlgo, ConsensusResult, ConvergenceError, finalize
 from privavg.masking import (
     MaskShareMsg,
@@ -341,11 +343,21 @@ def reference_view_rows(
     return np.concatenate([eff, b[:, cols]], axis=1) if cols else eff
 
 
+def histogram_from_counts(counts: Mapping[tuple, int], p: int, width: int) -> Histogram:
+    """The `Histogram` of a hand-made {outcome: count} dict of residues mod p:
+    each outcome repeated `count` times and counted by `audit._count_rows`.
+    `width` is the outcome length, which an empty dict cannot show."""
+    rows = np.array(list(counts), dtype=np.int64 if p < 2**63 else object).reshape(len(counts), width)
+    repeats = np.array(list(counts.values()), dtype=np.int64)
+    return Histogram(*_count_rows(np.repeat(rows, repeats, axis=0), p), p, width)
+
+
 def reference_enumerate_views(
     t: Topology, p: int, s: Sequence[int], cols: list[int], budget: int
 ) -> Histogram:
     """Histogram of view rows: each chunk's unique rows by a row sort, added to
-    the histogram one row at a time; rows of Python ints skip the sort."""
+    a dict one row at a time, which becomes a `Histogram` at the end; rows of
+    Python ints skip the sort."""
     total = _space_size(t, p, budget)
     inc = incidence_matrix(t)
     counts: dict[tuple, int] = {}
@@ -357,7 +369,7 @@ def reference_enumerate_views(
             uniq, cnt = np.unique(rows, axis=0, return_counts=True)
         for row, c in zip(_row_tuples(uniq), cnt.tolist()):
             counts[row] = counts.get(row, 0) + c
-    return Histogram(counts)
+    return histogram_from_counts(counts, p, t.n + len(cols))
 
 
 def reference_full_view_bins(rows: np.ndarray) -> Counter:

@@ -12,7 +12,6 @@ import pytest
 from privavg.audit import (
     AuditVerdict,
     EnumerationBudgetError,
-    Histogram,
     check_effective_input_uniformity,
     check_group_privacy,
     check_mask_uniformity,
@@ -31,6 +30,7 @@ from privavg.simnet import AdversarySpec
 from privavg.topology import Topology, connected_components, incidence_rank_mod_p
 
 from conftest import path3, random_connected_topology, ten_node_three_separators, triangle
+from reference import histogram_from_counts
 
 
 def brute_force_masks_from_raw_shares(t, p):
@@ -82,7 +82,9 @@ def test_mask_uniformity_verdicts():
     assert check_mask_uniformity(Topology(1, []), 7).passed
     # right support size and counts, but off the zero-sum plane
     masks = enumerate_mask_distribution(triangle(), 3)
-    off = Histogram({((a + 1) % 3, b, c): k for (a, b, c), k in masks.counts.items()})
+    off = histogram_from_counts(
+        {((a + 1) % 3, b, c): k for (a, b, c), k in masks.counts.items()}, 3, 3
+    )
     assert not _mask_uniformity_verdict(triangle(), 3, off).passed
 
 
@@ -413,7 +415,7 @@ def test_verdict_text_and_histogram_csv():
     assert "detail p 3" in text
     assert text.endswith("end\n")
 
-    hist = Histogram({(1, 2): 3, (0, 0): 1})
+    hist = histogram_from_counts({(1, 2): 3, (0, 0): 1}, 3, 2)
     csv = histogram_csv(hist)
     assert csv.splitlines() == ["outcome,count", '"0 0",1', '"1 2",3']
 

@@ -12,7 +12,6 @@ from collections import Counter
 
 from privavg.audit import (
     EnumerationBudgetError,
-    Histogram,
     _bins,
     _coalition_edges,
     _count_rows,
@@ -45,6 +44,7 @@ from privavg.topology import Topology
 
 from conftest import path3, random_connected_topology, ten_node_three_separators
 from reference import (
+    histogram_from_counts,
     reference_delivery_schedule,
     reference_enumerate_views,
     reference_full_view_bins,
@@ -334,7 +334,9 @@ def test_gossip_report_round_trips_and_convergence_csv_matches_fraction_rows():
     text = rep.to_text()
     assert text == files["report.txt"]
     parsed = RunReport.from_text(text)
-    assert isinstance(parsed.gossip_spread, tuple)
+    # read back as the same runs: one per value, starting in the same rounds
+    assert isinstance(parsed.gossip_spread, _SpreadTrace)
+    assert parsed.gossip_spread._starts == rep.gossip_spread._starts
     assert parsed == rep and rep == parsed
     assert parsed.to_text() == text
     rows = ["exchange,spread"] + [f"{i},{float(sp)!r}" for i, sp in enumerate(parsed.gossip_spread, 1)]
@@ -730,12 +732,12 @@ def test_code_histograms_compare_like_tuple_histograms(p):
                     drawn = tuple(rnd.randrange(p) for _ in range(n))
                     for other in (_moved_inputs(s, p, honest), drawn):
                         fast_other, slow_other = _views_both(t, p, members, other)
-                        assert (fast == fast_other) == (slow == slow_other)
-                        assert (fast != fast_other) == (slow != slow_other)
+                        assert (fast == fast_other) == (dict(slow) == dict(slow_other))
+                        assert (fast != fast_other) == (dict(slow) != dict(slow_other))
                         verdicts.add(fast == fast_other)
                     assert len(fast.counts) == len(slow.counts)
                     assert fast.counts._decoded is None  # no tuples so far
-                    assert histogram_csv(fast) == histogram_csv(slow)
+                    assert histogram_csv(fast) == reference_histogram_csv(slow)
     assert verdicts == {True, False}
 
 
@@ -749,11 +751,11 @@ def test_code_histograms_compare_past_int64_codes():
         fast, slow = _views_both(t, 3, members, s)
         assert fast.counts.codes.dtype == object
         fast_same, slow_same = _views_both(t, 3, members, same_sum)
-        assert (fast == fast_same) == (slow == slow_same) == expect_same
+        assert (fast == fast_same) == (dict(slow) == dict(slow_same)) == expect_same
         fast_other, slow_other = _views_both(t, 3, members, other)
-        assert (fast != fast_other) and (slow != slow_other)
+        assert (fast != fast_other) and (dict(slow) != dict(slow_other))
         assert len(fast.counts) == len(slow.counts) and fast.counts._decoded is None
-        assert histogram_csv(fast) == histogram_csv(slow)
+        assert histogram_csv(fast) == reference_histogram_csv(slow)
 
 
 def test_histogram_csv_matches_the_tuple_formatter():
@@ -777,10 +779,10 @@ def test_histogram_csv_matches_the_tuple_formatter():
         assert hist.counts._decoded is None  # formatted without outcome tuples
         assert csv == reference_histogram_csv(hist)
     built = [
-        Histogram({}),
-        Histogram({(2, 1): 3, (0, 4): 1, (10, 0): 2, (0, 3): 1}),
-        Histogram(dict(reversed(list(masks.counts.items())))),
-        Histogram({(2**64 - 60, 5): 1, (7, 2**63 + 1): 2}),
+        histogram_from_counts({}, 5, 3),
+        histogram_from_counts({(2, 1): 3, (0, 4): 1, (10, 0): 2, (0, 3): 1}, 11, 2),
+        histogram_from_counts(dict(reversed(list(masks.counts.items()))), 5, 3),
+        histogram_from_counts({(2**64 - 60, 5): 1, (7, 2**63 + 1): 2}, 2**64 - 59, 2),
     ]
     for hist in built:
         assert histogram_csv(hist) == reference_histogram_csv(hist)
@@ -790,10 +792,11 @@ def test_histogram_csv_matches_the_tuple_formatter():
 def test_dict_histograms_compare_with_enumerated_ones():
     p = 5
     hist = enumerate_mask_distribution(Topology(2, [(1, 2)]), p)
-    built = Histogram({(k, (-k) % p): 1 for k in range(p)})
+    built = histogram_from_counts({(k, (-k) % p): 1 for k in range(p)}, p, 2)
     assert hist == built and built == hist
     assert hist.counts == built.counts and built.counts == hist.counts
-    assert hist != Histogram({(0, 0): p}) and Histogram({(0, 0): p}) != hist
+    lone = histogram_from_counts({(0, 0): p}, p, 2)
+    assert hist != lone and lone != hist
     # code arrays: equal codes with other counts, or another width, differ;
     # another p compares the tuples
     triangle = Topology(3, [(1, 2), (2, 3), (1, 3)])
@@ -802,13 +805,13 @@ def test_dict_histograms_compare_with_enumerated_ones():
     assert zeros[0].counts.codes.tolist() == zeros[1].counts.codes.tolist() and zeros[0] != zeros[1]
     ones = [enumerate_view_distribution(Topology(2, []), q, AdversarySpec(()), (1, 1)) for q in (2, 3)]
     assert ones[0].counts.codes.tolist() != ones[1].counts.codes.tolist() and ones[0] == ones[1]
-    # the coset verdict reads a dict-built histogram as it reads the arrays
+    # the coset verdict reads a histogram built from a dict as an enumerated one
     for t in (triangle, Topology(4, [(1, 2), (3, 4)])):
         masks = enumerate_mask_distribution(t, 3)
-        rebuilt = Histogram(dict(masks.counts))
+        rebuilt = histogram_from_counts(dict(masks.counts), 3, t.n)
         from_dict = _mask_uniformity_verdict(t, 3, rebuilt)
         assert from_dict.to_text() == _mask_uniformity_verdict(t, 3, masks).to_text()
     uneven = dict(enumerate_mask_distribution(triangle, 3).counts)
     uneven[(0, 0, 0)] += 1
-    verdict = _mask_uniformity_verdict(triangle, 3, Histogram(uneven))
+    verdict = _mask_uniformity_verdict(triangle, 3, histogram_from_counts(uneven, 3, 3))
     assert not verdict.passed and verdict.details["count_values"] == [3, 4]

@@ -106,3 +106,24 @@ def test_benchmark_tracer_sees_every_round_and_draw_of_a_gossip_run():
     assert metrics["residues.draws"] == (
         2 * metrics["simnet.deliveries"] + metrics["consensus.gossip_rounds"]
     )
+
+
+def test_benchmark_tracer_decodes_no_histogram_of_an_audit(monkeypatch):
+    # the tracer counts audit.support as len(hist.counts) of every enumerated
+    # histogram; that must read the code arrays, never decode outcome tuples
+    import privavg.audit as audit
+
+    made, decodes = [], []
+    enumerate_views, row_tuples = audit._enumerate_views, audit._row_tuples
+    monkeypatch.setattr(audit, "_enumerate_views", lambda *a: made.append(enumerate_views(*a)) or made[-1])
+    monkeypatch.setattr(audit, "_row_tuples", lambda rows: decodes.append(len(rows)) or row_tuples(rows))
+    t = Topology(4, [(1, 2), (2, 3), (3, 4), (1, 4), (1, 3)])
+    tracer = _tracing().Tracer()
+    with tracer.installed():
+        verdict = audit.check_view_indistinguishability(t, 5, AdversarySpec({1}), (0, 1, 2, 3), (0, 3, 2, 1))
+        masks = audit.enumerate_mask_distribution(t, 5)
+    metrics = tracer.layer_metrics(leaks_missed=0, out_bytes=0)
+    assert verdict.passed and len(made) == 3 and made[-1] is masks
+    # two view histograms of equal support, then the masks
+    assert metrics["audit.support"] == 2 * verdict.details["support_size"] + len(masks) > 0
+    assert not decodes and all(h._decoded is None for h in made)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from privavg.topology import (
     connected_components,
     format_topology_text,
     incidence_matrix,
+    _is_prime,
     incidence_rank_mod_p,
     is_vertex_cut,
     load_topology_text,
@@ -144,6 +146,61 @@ def test_incidence_rank_equals_n_minus_components():
         c = len(connected_components(t))
         for p in (2, 3, 5):
             assert incidence_rank_mod_p(t, p) == n - c
+
+
+# primes on both sides of 2^32, where a product of two residues leaves int64
+BIG_PRIMES = (2**31 - 1, 4294967311, 2**61 - 1, 2**64 - 59)
+
+
+def test_incidence_rank_on_every_small_graph():
+    for n in range(1, 6):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for r in range(len(pairs) + 1):
+            for edges in itertools.combinations(pairs, r):
+                t = Topology(n, list(edges))
+                c = len(connected_components(t))
+                for p in (2, 3, 2**64 - 59):
+                    assert incidence_rank_mod_p(t, p) == n - c
+
+
+@pytest.mark.parametrize("p", BIG_PRIMES)
+def test_incidence_rank_at_moduli_past_int64_products(p):
+    rnd = random.Random(p % 1009)
+    for _ in range(200):
+        n = rnd.randrange(2, 10)
+        pool = list(itertools.combinations(range(1, n + 1), 2))
+        t = Topology(n, [e for e in pool if rnd.random() < 0.4])
+        assert incidence_rank_mod_p(t, p) == n - len(connected_components(t))
+
+
+def test_incidence_rank_near_2_64_is_fast():
+    t = Topology(20, list(itertools.combinations(range(1, 21), 2)))
+    start = time.perf_counter()
+    assert incidence_rank_mod_p(t, 2**64 - 59) == 19
+    assert time.perf_counter() - start < 0.1
+
+
+def test_is_prime_matches_trial_division_below_1e5():
+    composite = bytearray(10**5)
+    composite[0] = composite[1] = 1
+    for d in range(2, 317):
+        if not composite[d]:
+            composite[d * d :: d] = b"\x01" * len(range(d * d, 10**5, d))
+    assert [p for p in range(10**5) if _is_prime(p)] == [p for p in range(10**5) if not composite[p]]
+
+
+def test_is_prime_refuses_pseudoprimes_and_accepts_large_primes():
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to every prime base up
+    # to 23, then Carmichael numbers
+    for n in (3215031751, 3825123056546413051, 561, 1105, 1729, 41041, 825265, 321197185):
+        assert not _is_prime(n)
+    for p in BIG_PRIMES + (10**12 + 39,):
+        assert _is_prime(p)
+    assert not _is_prime(2**64 - 1)
+    with pytest.raises(ValueError, match="cannot decide"):
+        _is_prime(2**89 - 1)  # a prime past the bases' proven range
+    with pytest.raises(ValueError, match="rank over Z_p needs a prime"):
+        incidence_rank_mod_p(triangle(), 3825123056546413051)
 
 
 def test_topology_text_round_trip():
