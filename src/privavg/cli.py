@@ -32,6 +32,7 @@ from .masking import ProtocolParams
 from .residues import Modulus
 from .simnet import AdversarySpec, simulate
 from .topology import (
+    MAX_VERTICES,
     Topology,
     _add_edge,
     _format_components,
@@ -69,6 +70,11 @@ _SCHEMA = {
     "adversary": {"members"},
     "audit": {"claim", "s_prime", "group", "samples", "alpha", "budget"},
 }
+
+
+# the largest decimal exponent, in size, of a rational read from text:
+# `Fraction("1e-N")` expands 10**N before anything can compare it
+MAX_EXPONENT = 10**4
 
 
 class ConfigError(ValueError):
@@ -176,6 +182,8 @@ class _Fields:
         value, where = got
         try:
             result = conv(value)
+        except ConfigError as exc:  # a cap on the text, checked before converting it
+            raise ConfigError(f"{where}: {exc}") from None
         except (ValueError, ZeroDivisionError):
             raise ConfigError(f"{where}: expected {what}, got {value!r}") from None
         for ok, text in bounds:
@@ -193,8 +201,10 @@ class _Fields:
         return self._convert(section, key, int, "an integer", default, bounds)
 
     def fraction(self, section, key, default=None, positive=False):
+        """A rational as `Fraction` reads it, with a decimal exponent of at
+        most `MAX_EXPONENT` in size, checked first."""
         bounds = [(lambda v: v > 0, "> 0")] if positive else ()
-        return self._convert(section, key, Fraction, "a rational", default, bounds)
+        return self._convert(section, key, _rational, "a rational", default, bounds)
 
     def real(self, section, key, default=None, bounds=()):
         return self._convert(section, key, float, "a real number", default, bounds)
@@ -217,6 +227,15 @@ class _Fields:
         return value
 
 
+def _rational(text: str) -> Fraction:
+    _, e, exp = text.lower().rpartition("e")
+    if e and abs(int(exp)) > MAX_EXPONENT:
+        raise ConfigError(
+            f"expected a decimal exponent of at most {MAX_EXPONENT} in size, got {text!r}"
+        )
+    return Fraction(text)
+
+
 def _parse_topology(fields: _Fields, base_dir: Path) -> Topology:
     file_entry = fields.raw("topology", "file")
     inline_n = fields.raw("topology", "n")
@@ -230,7 +249,10 @@ def _parse_topology(fields: _Fields, base_dir: Path) -> Topology:
             raise ConfigError(f"{file_entry[1]}: {exc}") from None
         except ValueError as exc:
             raise ConfigError(f"[topology] file {path}: {exc}") from None
-    n = fields.integer("topology", "n", minimum=1)
+    n = fields.integer(
+        "topology", "n", minimum=1,
+        bounds=[(lambda v: v <= MAX_VERTICES, f"<= {MAX_VERTICES}")],
+    )
     if n is None:
         raise ConfigError("[topology] needs either `file` or `n` and `edges`")
     edges_entry = fields.raw("topology", "edges")
@@ -462,6 +484,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's names the size it could not allocate
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     sys.stdout.write(text_out)
     if out is not None:

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import hashlib
 from heapq import heappop, heappush
+from itertools import chain, count, islice
 import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .consensus import (
     ConsensusAlgo,
@@ -111,46 +112,45 @@ class RunReport:
             raise InvariantError(f"agents disagree on the average: {sorted(values)}")
         return next(iter(values))
 
-    def to_text(self) -> str:
+    def lines(self) -> Iterator[str]:
+        """The lines of `runreport v1`, without their newlines; the format's one writer."""
         num = number_text
-        lines = [
-            "runreport v1",
-            f"seed {num(self.seed)}",
-            f"schedule_seed {'-' if self.schedule_seed is None else num(self.schedule_seed)}",
-            f"config {self.config_hash}",
-            f"agents {num(self.n)}",
-            f"algo {self.algo_variant}",
-            f"ticks {num(self.ticks)}",
-            f"phase1_messages {num(self.phase1_messages)}",
-            f"phase2_messages {num(self.phase2_messages)}",
-            f"average {num(self.average)}",
-        ]
+        yield "runreport v1"
+        yield f"seed {num(self.seed)}"
+        yield f"schedule_seed {'-' if self.schedule_seed is None else num(self.schedule_seed)}"
+        yield f"config {self.config_hash}"
+        yield f"agents {num(self.n)}"
+        yield f"algo {self.algo_variant}"
+        yield f"ticks {num(self.ticks)}"
+        yield f"phase1_messages {num(self.phase1_messages)}"
+        yield f"phase2_messages {num(self.phase2_messages)}"
+        yield f"average {num(self.average)}"
         for i in sorted(self.averages):
-            lines.append(f"agent_average {num(i)} {num(self.averages[i])}")
+            yield f"agent_average {num(i)} {num(self.averages[i])}"
         if self.adversary is not None:
-            lines.append("adversary " + " ".join(map(num, self.adversary)))
+            yield "adversary " + " ".join(map(num, self.adversary))
         if self.view is not None:
             v = self.view
             for i in sorted(v.adversary_inputs):
-                lines.append(f"view_input {num(i)} {num(v.adversary_inputs[i])}")
+                yield f"view_input {num(i)} {num(v.adversary_inputs[i])}"
             for i in sorted(v.all_effective_inputs):
-                lines.append(f"view_effective {num(i)} {num(v.all_effective_inputs[i])}")
+                yield f"view_effective {num(i)} {num(v.all_effective_inputs[i])}"
             for (a, b) in sorted(v.incident_differences):
-                lines.append(f"view_diff {num(a)} {num(b)} {num(v.incident_differences[(a, b)])}")
-            for line in v.transcript:
-                lines.append(f"transcript {line}")
-        texts = spread_texts(self.gossip_spread)
-        lines.extend(f"spread {r} {s}" for r, s in enumerate(texts, start=1))
-        for line in self.events:
-            lines.append(f"event {line}")
-        lines.append("end")
-        return "\n".join(lines) + "\n"
+                yield f"view_diff {num(a)} {num(b)} {num(v.incident_differences[(a, b)])}"
+            yield from map("transcript ".__add__, v.transcript)
+        for r, s in enumerate(spread_texts(self.gossip_spread), start=1):
+            yield f"spread {r} {s}"
+        yield from map("event ".__add__, self.events)
+        yield "end"
+
+    def to_text(self) -> str:
+        return "\n".join(chain(self.lines(), ("",)))  # the empty last item ends the text in "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "RunReport":
-        """Read back what `to_text` writes, and nothing else.
+        """Read back what `lines` writes, and nothing else.
 
-        Every number must have the form `to_text` gives it, checked before it
+        Every number must have the form `lines` gives it, checked before it
         is converted. A malformed line, or the first line that the parsed
         report would not write back the same, raises ValueError naming it.
         """
@@ -163,11 +163,14 @@ class RunReport:
                 raise ValueError(f"expected an integer, got {reprlib.repr(token)}")
             return value
 
-        def fields(rest: str, count: int) -> list[str]:
+        def fields(rest: str, size: int) -> list[str]:
             parts = rest.split(" ")
-            if len(parts) != count:
-                raise ValueError(f"expected {count} fields, got {len(parts)}")
+            if len(parts) != size:
+                raise ValueError(f"expected {size} fields, got {len(parts)}")
             return parts
+
+        def number(token: str) -> Fraction:
+            return Fraction(parse_number(token))
 
         once = {
             "seed": whole,
@@ -178,7 +181,7 @@ class RunReport:
             "ticks": whole,
             "phase1_messages": whole,
             "phase2_messages": whole,
-            "average": lambda rest: Fraction(parse_number(rest)),
+            "average": number,
             "adversary": lambda rest: tuple(map(whole, rest.split(" "))) if rest else (),
         }
         head: dict = {}
@@ -187,41 +190,29 @@ class RunReport:
         view_inputs: dict[int, int] = {}
         view_eff: dict[int, int] = {}
         view_diff: dict[tuple[int, int], int] = {}
-        transcript: list[str] = []
+        # tag: (the dict its lines fill, the number of key fields, the value's reader)
+        keyed = {
+            "agent_average": (averages, 1, number),
+            "view_input": (view_inputs, 1, whole),
+            "view_effective": (view_eff, 1, whole),
+            "view_diff": (view_diff, 2, whole),
+        }
+        listed: dict[str, list[str]] = {"transcript": [], "event": []}
         # the spread lines as runs of equal text, one (value, first round) each
         spreads: list[int] = []
         dens: list[int] = []
         starts: list[int] = []
         rounds = 0
         spread_text = None
-        events: list[str] = []
-        saw_view = False
-        # the lines are let go before the write-back below builds its own
-        for lineno, line in enumerate(text.split("\n")[1:-2], start=2):
+        lines = text.split("\n")[:-1]  # no empty string after the last newline
+        for lineno, line in enumerate(islice(lines, 1, len(lines) - 1), start=2):
             tag, _, rest = line.partition(" ")
             try:
-                if tag in once:
-                    if tag in head:
-                        raise ValueError(f"repeated {tag} line")
-                    head[tag] = once[tag](rest)
-                    where[tag] = lineno
-                elif tag == "agent_average":
-                    i, val = fields(rest, 2)
-                    averages[whole(i)] = Fraction(parse_number(val))
-                elif tag == "view_input":
-                    i, val = fields(rest, 2)
-                    view_inputs[whole(i)] = whole(val)
-                elif tag == "view_effective":
-                    i, val = fields(rest, 2)
-                    view_eff[whole(i)] = whole(val)
-                elif tag == "view_diff":
-                    a, b, val = fields(rest, 3)
-                    view_diff[(whole(a), whole(b))] = whole(val)
-                elif tag == "transcript":
-                    transcript.append(rest)
+                if tag in listed:
+                    listed[tag].append(rest)
                 elif tag == "spread":
                     r, val = fields(rest, 2)
-                    if whole(r) != rounds + 1:
+                    if r != str(rounds + 1):
                         raise ValueError(f"expected spread round {rounds + 1}")
                     if val != spread_text:  # a repeated value is parsed once
                         value, spread_text = parse_number(val), val
@@ -229,13 +220,17 @@ class RunReport:
                         dens.append(value.denominator)
                         starts.append(rounds)
                     rounds += 1
-                elif tag == "event":
-                    events.append(rest)
+                elif tag in keyed:
+                    into, width, read = keyed[tag]
+                    *key, val = fields(rest, width + 1)
+                    into[whole(key[0]) if width == 1 else tuple(map(whole, key))] = read(val)
+                elif tag in once:
+                    head[tag] = once[tag](rest)
+                    where[tag] = lineno
                 else:
                     raise ValueError(f"unknown report line {reprlib.repr(line)}")
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
-            saw_view = saw_view or tag.startswith("view_") or tag == "transcript"
         try:
             n, average = head["agents"], head["average"]
             report = cls(
@@ -249,9 +244,9 @@ class RunReport:
                 phase2_messages=head["phase2_messages"],
                 ticks=head["ticks"],
                 adversary=head.get("adversary"),
-                view=AdversaryView(view_inputs, view_eff, view_diff, tuple(transcript))
-                if saw_view else None,
-                events=tuple(events),
+                view=AdversaryView(view_inputs, view_eff, view_diff, tuple(listed["transcript"]))
+                if view_inputs or view_eff or view_diff or listed["transcript"] else None,
+                events=tuple(listed["event"]),
                 gossip_spread=_SpreadTrace(spreads, dens, starts, rounds) if rounds else (),
             )
         except KeyError as exc:
@@ -263,12 +258,12 @@ class RunReport:
             )
         if set(averages.values()) != {average}:
             raise ValueError(f"line {where['average']}: not every agent's average")
-        again = report.to_text()
-        if again != text:
-            # both texts end in "end\n" with no empty line before, so some line differs
-            pairs = zip(text.split("\n"), again.split("\n"))
-            lineno, got, want = next((k, a, b) for k, (a, b) in enumerate(pairs, 1) if a != b)
-            raise ValueError(f"line {lineno}: {reprlib.repr(got)} is written {reprlib.repr(want)}")
+        # both sides end in their one "end" line, so equal pairs mean equal lengths
+        for lineno, got, want in zip(count(1), lines, report.lines()):
+            if got != want:
+                raise ValueError(
+                    f"line {lineno}: {reprlib.repr(got)} is written {reprlib.repr(want)}"
+                )
         return report
 
 

@@ -24,6 +24,8 @@ __all__ = [
 ]
 
 _BRUTE_FORCE_LIMIT = 20  # subset enumeration below is exponential in n
+# the largest vertex count read from text; a Topology builds one set per vertex
+MAX_VERTICES = 10**5
 
 
 class Topology:
@@ -248,6 +250,10 @@ def load_topology_text(text: str) -> Topology:
                 raise ValueError(f"line {lineno}: {exc}") from None
             if n < 1:
                 raise ValueError(f"line {lineno}: vertex count must be at least 1, got {n}")
+            if n > MAX_VERTICES:
+                raise ValueError(
+                    f"line {lineno}: vertex count must be at most {MAX_VERTICES}, got {n}"
+                )
         elif parts[0] == "e":
             if n is None:
                 raise ValueError(f"line {lineno}: edge before the n line")

@@ -1,5 +1,7 @@
 """End-to-end command-line checks driven through main()."""
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -206,7 +208,7 @@ def test_topology_file_reference(tmp_path, capsys):
     assert "average = 14/3" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("count", ["\u00b2", "0"])
+@pytest.mark.parametrize("count", ["\u00b2", "0", "1000000000"])
 def test_topology_file_names_the_line_of_a_bad_vertex_count(tmp_path, capsys, count):
     (tmp_path / "bad.topo").write_text(f"n {count}\ne 1 2\n")
     cfg = tmp_path / "ref.cfg"
@@ -298,6 +300,11 @@ def test_max_delay_below_one_exits_two_naming_line(tmp_path, capsys, max_delay):
         ("", "", ["--algo", "push"], "--algo: expected one of flood, gossip, got 'push'"),
         ("q1 = 0", "q1 = 10", [],
          "line 7: [experiment] q2: expected an integer >= q1 = 10, got 9"),
+        ("n = 3", "n = 1000000000", [],
+         "line 10: [topology] n: expected an integer <= 100000, got 1000000000"),
+        ("p = 30", "p = 30\ntolerance = 1e-10000000", [],
+         "line 6: [experiment] tolerance: expected a decimal exponent of at most 10000 in size, "
+         "got '1e-10000000'"),
     ],
 )
 def test_bad_values_exit_two_naming_the_line_or_flag(tmp_path, capsys, old, new, flags, complaint):
@@ -488,3 +495,56 @@ def test_samples_flag_below_one_exits_two_naming_the_flag(tmp_path, capsys, samp
     assert captured.err.splitlines() == [
         f"config error: --samples: expected an integer >= 1, got {samples}"
     ]
+
+
+def test_tolerance_exponents_up_to_the_cap_parse():
+    for text, want in (
+        ("1e-220", Fraction(1, 10**220)),
+        ("1E-10000", Fraction(1, 10**10000)),
+        ("25e-1_0000", Fraction(25, 10**10000)),
+        ("0.5e+3", Fraction(500)),
+        ("3/4", Fraction(3, 4)),
+    ):
+        cfg = parse_config(GOLDEN_CFG.replace("p = 30", f"p = 30\ntolerance = {text}"))
+        assert cfg.algo.gossip_tolerance == want
+    for text in ("1e-10001", "1E+10001", "2e" + "9" * 5000):
+        with pytest.raises(ConfigError, match=r"^line 6: \[experiment\] tolerance: expected a "):
+            parse_config(GOLDEN_CFG.replace("p = 30", f"p = 30\ntolerance = {text}"))
+
+
+@pytest.mark.parametrize(
+    "error, line",
+    [
+        (MemoryError("Unable to allocate 14.6 TiB for an array with shape (10**12, 3)"),
+         "error: Unable to allocate 14.6 TiB for an array with shape (10**12, 3)"),
+        (MemoryError(), "error: out of memory"),
+    ],
+    ids=["numpy-message", "bare"],
+)
+def test_out_of_memory_exits_one_with_one_line(tmp_path, capsys, monkeypatch, error, line):
+    def run_out(*args, **kwargs):
+        raise error
+
+    # a real allocation of that size may or may not fail at once, by the host's overcommit policy
+    monkeypatch.setattr("privavg.cli.sampled_view_test", run_out)
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(LEAK_CFG.format(samples=10**12, alpha=""))
+    assert main(["audit", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [line]
+
+
+def test_readme_config_example_runs_and_audits(tmp_path, capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    (block,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    cfg = tmp_path / "readme.cfg"
+    cfg.write_text(block)
+    parsed = parse_config(block)
+    assert parsed.audit_group == {1, 2} and not parsed.audit_group & parsed.adversary
+    assert main(["run", "--config", str(cfg)]) == 0
+    assert "average = 14/3 " in capsys.readouterr().out
+    for claim in ("view-identity", "group-privacy"):
+        cfg.write_text(block.replace("claim = view-identity", f"claim = {claim}", 1))
+        assert main(["audit", "--config", str(cfg)]) == 0, claim
+        assert "passed yes" in capsys.readouterr().out

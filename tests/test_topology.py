@@ -232,6 +232,7 @@ def test_topology_text_names_the_line_of_every_bad_vertex_count():
         ("3 4", "expected 'n <count>'"),
         ("0", "vertex count must be at least 1, got 0"),
         ("00", "vertex count must be at least 1, got 0"),
+        ("1000000000", "vertex count must be at most 100000, got 1000000000"),
         ("7" * 5000, "Exceeds the limit"),
     ):
         with pytest.raises(ValueError, match=f"^line 2: {complaint}"):
