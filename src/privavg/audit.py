@@ -12,7 +12,7 @@ memory follows the support, not p^|E|. The resulting `Histogram` is a
 mapping from outcome tuple to count that keeps the sorted (code, count)
 arrays: verdicts and histogram.csv compare, count and format on them, and
 outcome tuples are decoded only when a caller reads it as a mapping. Sampled
-views are binned on the same codes. The default budget (10^7 rows, e.g. a
+views are counted into `Histogram`s on the same codes. The default budget (10^7 rows, e.g. a
 6-vertex graph with 10 edges at p = 5) takes about 1.6 s on a 2-core x86 box.
 When the space is too big, a seeded two-sample chi-square over binned
 coalition views stands in; negative controls (coalitions that cut the graph)
@@ -20,14 +20,14 @@ must visibly leak there.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .masking import AdversarySpec
 from .residues import Modulus, SeededRng
-from .topology import Topology, _require_vertices, connected_components, is_vertex_cut
+from .topology import Topology, _require_vertices, connected_components
 
 __all__ = [
     "AuditVerdict",
@@ -61,6 +61,11 @@ class Histogram(Mapping):
     def __init__(self, codes: np.ndarray, tallies: np.ndarray, p: int, width: int) -> None:
         self.codes, self.tallies, self.p, self.width = codes, tallies, p, width
         self._decoded: Optional[dict[tuple, int]] = None
+
+    @classmethod
+    def from_rows(cls, rows: np.ndarray, p: int) -> Histogram:
+        # the distinct rows of residues mod p, counted (see _count_rows)
+        return cls(*_count_rows(rows, p), p, rows.shape[1])
 
     @property
     def counts(self) -> Histogram:
@@ -227,12 +232,6 @@ def _count_rows(rows: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     return np.unique(codes, return_counts=True)
 
 
-def _bins(rows: np.ndarray, p: int) -> dict[int, int]:
-    # code -> count of each distinct row, keys sorting as the row tuples do
-    codes, counts = _count_rows(rows, p)
-    return dict(zip(codes.tolist(), counts.tolist()))
-
-
 def _merge_counts(
     codes: np.ndarray, counts: np.ndarray, more: np.ndarray, more_counts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -332,22 +331,55 @@ def enumerate_view_distribution(
     return _enumerate_views(t, pv, sv, _coalition_edges(t, adversary.members), budget)
 
 
-def _require_pair_conditions(
-    t: Topology, p: int, members: frozenset[int], s, s_prime
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _pair_inputs(
+    t: Topology, p: int, members: frozenset[int], s, s_prime, group: Optional[frozenset[int]] = None
+) -> tuple[tuple[int, ...], tuple[int, ...], frozenset[int]]:
+    """The one precondition of every pair claim: s and s_prime agree outside
+    the group and have equal sums over it. The group is the honest agents
+    V∖C unless one is given; a given group must be non-empty, inside V and
+    disjoint from the coalition. Returns (s, s_prime, group)."""
+    _require_vertices(t, members, "coalition member")
+    if group is None:
+        group, name = frozenset(t.vertices) - members, "the honest agents"
+    else:
+        if not group:
+            raise ValueError("group must be non-empty")
+        if group & members:
+            raise ValueError(f"group overlaps the coalition: {sorted(group & members)}")
+        _require_vertices(t, group, "group member")
+        name = "the group"
     sv = _check_inputs(t, p, s, "s")
     sw = _check_inputs(t, p, s_prime, "s_prime")
-    _require_vertices(t, members, "coalition member")
-    for i in members:
-        if sv[i - 1] != sw[i - 1]:
+    for i in t.vertices:
+        if i not in group and sv[i - 1] != sw[i - 1]:
             raise ValueError(
-                f"input pairs must agree on coalition member {i} "
-                f"({sv[i - 1]} vs {sw[i - 1]})"
+                f"input pairs must agree outside {name}: agent {i} has {sv[i - 1]} vs {sw[i - 1]}"
             )
-    honest = [i for i in t.vertices if i not in members]
-    if sum(sv[i - 1] for i in honest) != sum(sw[i - 1] for i in honest):
-        raise ValueError("input pairs must have equal sums over the honest agents")
-    return sv, sw
+    if sum(sv[i - 1] for i in group) != sum(sw[i - 1] for i in group):
+        raise ValueError(f"input pairs must have equal sums over {name}")
+    return sv, sw, group
+
+
+def _cuts_group(t: Topology, members: frozenset[int], group: frozenset[int]) -> bool:
+    # whether the group meets more than one component of G - C; for the honest
+    # agents that is "C is a vertex cut". An empty group (C = V) counts as cut.
+    comps = connected_components(t, set(t.vertices) - members)
+    return sum(1 for comp in comps if comp & group) != 1
+
+
+def _exact_pair_verdict(
+    claim: str, t: Topology, pv: int, adversary: AdversarySpec, sv, sw, budget: int, details: dict
+) -> AuditVerdict:
+    # both view distributions enumerated and compared outcome by outcome;
+    # EnumerationBudgetError past the budget
+    h_s = enumerate_view_distribution(t, pv, adversary, sv, budget)
+    h_w = enumerate_view_distribution(t, pv, adversary, sw, budget)
+    return AuditVerdict(
+        claim=claim,
+        method="exact_enumeration",
+        passed=h_s == h_w,
+        details={**details, "support_size": len(h_s)},
+    )
 
 
 def check_view_indistinguishability(
@@ -366,29 +398,12 @@ def check_view_indistinguishability(
     """
     pv = _as_modulus_value(p)
     members = adversary.members
-    sv, sw = _require_pair_conditions(t, pv, members, s, s_prime)
-    cut = is_vertex_cut(t, members) if len(members) < t.n else True
-    h_s = enumerate_view_distribution(t, pv, adversary, sv, budget)
-    h_w = enumerate_view_distribution(t, pv, adversary, sw, budget)
-    identical = h_s == h_w
-    return AuditVerdict(
-        claim="view-identity",
-        method="exact_enumeration",
-        passed=identical,
-        details={
-            "p": pv,
-            "coalition": sorted(members),
-            "is_vertex_cut": cut,
-            "claim_applies": not cut,
-            "support_size": len(h_s),
-        },
+    sv, sw, honest = _pair_inputs(t, pv, members, s, s_prime)
+    cut = _cuts_group(t, members, honest)
+    return _exact_pair_verdict(
+        "view-identity", t, pv, adversary, sv, sw, budget,
+        {"p": pv, "coalition": sorted(members), "is_vertex_cut": cut, "claim_applies": not cut},
     )
-
-
-def _cuts_group(t: Topology, members: frozenset[int], group: frozenset[int]) -> bool:
-    # the coalition cuts the group if its members end up in >1 surviving component
-    comps = connected_components(t, set(t.vertices) - members)
-    return sum(1 for comp in comps if comp & group) > 1
 
 
 def check_group_privacy(
@@ -412,21 +427,7 @@ def check_group_privacy(
     """
     pv = _as_modulus_value(p)
     members = adversary.members
-    _require_vertices(t, members, "coalition member")
-    h_set = frozenset(group)
-    if not h_set:
-        raise ValueError("group must be non-empty")
-    if h_set & members:
-        raise ValueError(f"group overlaps the coalition: {sorted(h_set & members)}")
-    _require_vertices(t, h_set, "group member")
-    sv = _check_inputs(t, pv, s, "s")
-    sw = _check_inputs(t, pv, s_prime, "s_prime")
-    for i in t.vertices:
-        if i not in h_set and sv[i - 1] != sw[i - 1]:
-            raise ValueError(f"input pairs must agree outside the group (agent {i})")
-    if sum(sv[i - 1] for i in h_set) != sum(sw[i - 1] for i in h_set):
-        raise ValueError("input pairs must have equal sums over the group")
-
+    sv, sw, h_set = _pair_inputs(t, pv, members, s, s_prime, frozenset(group))
     cut = _cuts_group(t, members, h_set)
     base_details = {
         "p": pv,
@@ -449,28 +450,13 @@ def check_group_privacy(
         )
 
     try:
-        h_s = enumerate_view_distribution(t, pv, adversary, sv, budget)
-        h_w = enumerate_view_distribution(t, pv, adversary, sw, budget)
+        return _exact_pair_verdict("group-privacy", t, pv, adversary, sv, sw, budget, base_details)
     except EnumerationBudgetError:
         if samples is None:
             raise
         sub = sampled_view_test(t, pv, adversary, sv, sw, samples, alpha=alpha, seed=seed)
         # group-level claim_applies must win over the sub-test's whole-graph one
-        return AuditVerdict(
-            claim="group-privacy",
-            method="chi_square",
-            passed=sub.passed,
-            statistic=sub.statistic,
-            pvalue=sub.pvalue,
-            alpha=sub.alpha,
-            details={**sub.details, **base_details},
-        )
-    return AuditVerdict(
-        claim="group-privacy",
-        method="exact_enumeration",
-        passed=h_s == h_w,
-        details={**base_details, "support_size": len(h_s)},
-    )
+        return replace(sub, claim="group-privacy", details={**sub.details, **base_details})
 
 
 def _sample_view_rows(
@@ -498,7 +484,7 @@ def _sample_view_rows(
     return _view_rows(t, p, s, coalition_edge_idx, b.T)
 
 
-def _marginal_bins(rows: np.ndarray, p: int, honest: list[int], num_cols: int) -> list[dict[int, int]]:
+def _marginal_bins(rows: np.ndarray, p: int, honest: list[int], num_cols: int) -> list[Histogram]:
     """Counts of the honest-sum marginal (sum of the honest agents' effective
     inputs mod p), then of each incident-difference column, over view rows."""
     n = rows.shape[1] - num_cols
@@ -506,7 +492,7 @@ def _marginal_bins(rows: np.ndarray, p: int, honest: list[int], num_cols: int) -
     if p * len(honest) >= 2**63:  # the int64 sum could overflow
         total = total.astype(object)
     columns = [total.sum(axis=1) % p] + [rows[:, n + m] for m in range(num_cols)]
-    return [_bins(column[:, None], p) for column in columns]
+    return [Histogram.from_rows(column[:, None], p) for column in columns]
 
 
 def chi2_contingency(table: np.ndarray) -> tuple[float, float, np.ndarray]:
@@ -529,13 +515,14 @@ def chi2_contingency(table: np.ndarray) -> tuple[float, float, np.ndarray]:
     return statistic, chdtrc(observed.shape[1] - 1, statistic), expected
 
 
-def _two_sample_chi_square(bins_a: Mapping, bins_b: Mapping) -> tuple[float, float]:
-    outcomes = sorted(set(bins_a) | set(bins_b))
+def _two_sample_chi_square(a: Histogram, b: Histogram) -> tuple[float, float]:
+    # one column per code seen in either sample, in sorted code order
+    outcomes = np.union1d(a.codes, b.codes)
     if len(outcomes) == 1:
         return 0.0, 1.0
-    table = np.array(
-        [[bins_a.get(o, 0) for o in outcomes], [bins_b.get(o, 0) for o in outcomes]]
-    )
+    table = np.zeros((2, len(outcomes)), dtype=np.int64)
+    table[0, np.searchsorted(outcomes, a.codes)] = a.tallies
+    table[1, np.searchsorted(outcomes, b.codes)] = b.tallies
     statistic, pvalue, expected = chi2_contingency(table)
     if expected.min() < 5:
         raise ValueError(
@@ -565,7 +552,7 @@ def sampled_view_test(
     """
     pv = _as_modulus_value(p)
     members = adversary.members
-    sv, sw = _require_pair_conditions(t, pv, members, s, s_prime)
+    sv, sw, honest = _pair_inputs(t, pv, members, s, s_prime)
     if samples < 1:
         raise ValueError("samples must be positive")
     if not 0 < alpha < 1:
@@ -583,15 +570,14 @@ def sampled_view_test(
             details={"p": pv, "coalition": sorted(members), "identical_inputs": True},
         )
     cols = _coalition_edges(t, members)
-    honest = [i for i in t.vertices if i not in members]
 
-    rows_per_vector = []
-    for idx, vec in enumerate((sv, sw)):
-        rngs = {i: SeededRng(seed, (idx, i)) for i in t.vertices}
-        rows_per_vector.append(_sample_view_rows(t, pv, vec, cols, rngs, samples))
+    rows_per_vector = [
+        _sample_view_rows(t, pv, vec, cols, {i: SeededRng(seed, (idx, i)) for i in t.vertices}, samples)
+        for idx, vec in enumerate((sv, sw))
+    ]
 
     space_estimate = min(pv ** len(t.edges), pv ** (t.n - 1 + len(cols)))
-    cut = is_vertex_cut(t, members) if len(members) < t.n else True
+    cut = _cuts_group(t, members, honest)
     details: dict = {
         "p": pv,
         "coalition": sorted(members),
@@ -601,18 +587,13 @@ def sampled_view_test(
     }
 
     if space_estimate <= _FULL_BIN_LIMIT:
-        stat, pvalue = _two_sample_chi_square(*(_bins(r, pv) for r in rows_per_vector))
+        stat, pvalue = _two_sample_chi_square(*(Histogram.from_rows(r, pv) for r in rows_per_vector))
         details["binning"] = "full_view"
         adjusted = pvalue
     else:
         # marginal fallback: the honest-sum coordinate plus each incident edge
-        marginal_stats = []
-        marginal_ps = []
-        bins_a, bins_b = (_marginal_bins(r, pv, honest, len(cols)) for r in rows_per_vector)
-        for a, b in zip(bins_a, bins_b):
-            stat_m, p_m = _two_sample_chi_square(a, b)
-            marginal_stats.append(stat_m)
-            marginal_ps.append(p_m)
+        bins_a, bins_b = (_marginal_bins(r, pv, sorted(honest), len(cols)) for r in rows_per_vector)
+        marginal_stats, marginal_ps = zip(*map(_two_sample_chi_square, bins_a, bins_b))
         worst = int(np.argmin(marginal_ps))
         stat = marginal_stats[worst]
         adjusted = min(1.0, marginal_ps[worst] * (1 + len(cols)))

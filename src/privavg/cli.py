@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import decimal
 import functools
+import reprlib
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -35,9 +36,9 @@ from .topology import (
     MAX_VERTICES,
     Topology,
     _add_edge,
+    _cut_components,
     _format_components,
     connected_components,
-    is_vertex_cut,
     load_topology_text,
     vertex_connectivity,
 )
@@ -152,12 +153,12 @@ def _parse_raw(text: str) -> dict[tuple[str, str], tuple[str, str]]:
                 raise ConfigError(f"line {lineno}: unknown section [{section}]")
             continue
         if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected `key = value`, got {line!r}")
+            raise ConfigError(f"line {lineno}: expected `key = value`, got {reprlib.repr(line)}")
         if section is None:
             raise ConfigError(f"line {lineno}: key before any [section] header")
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _SCHEMA[section]:
-            raise ConfigError(f"line {lineno}: unknown key {key!r} in [{section}]")
+            raise ConfigError(f"line {lineno}: unknown key {reprlib.repr(key)} in [{section}]")
         if (section, key) in entries:
             raise ConfigError(f"line {lineno}: duplicate key {key!r} in [{section}]")
         if not value:
@@ -185,10 +186,12 @@ class _Fields:
         except ConfigError as exc:  # a cap on the text, checked before converting it
             raise ConfigError(f"{where}: {exc}") from None
         except (ValueError, ZeroDivisionError):
-            raise ConfigError(f"{where}: expected {what}, got {value!r}") from None
+            raise ConfigError(f"{where}: expected {what}, got {reprlib.repr(value)}") from None
         for ok, text in bounds:
             if not ok(result):
-                raise ConfigError(f"{where}: expected {what} {text}, got {result}")
+                # reprlib would show a Fraction as its repr, not as the number
+                shown = result if isinstance(result, Fraction) else reprlib.repr(result)
+                raise ConfigError(f"{where}: expected {what} {text}, got {shown}")
         return result
 
     def integer(self, section, key, default=None, minimum=None, bits=None, bounds=()):
@@ -222,7 +225,7 @@ class _Fields:
         value, where = got
         if value not in choices:
             raise ConfigError(
-                f"{where}: expected one of {', '.join(sorted(choices))}, got {value!r}"
+                f"{where}: expected one of {', '.join(sorted(choices))}, got {reprlib.repr(value)}"
             )
         return value
 
@@ -231,7 +234,7 @@ def _rational(text: str) -> Fraction:
     _, e, exp = text.lower().rpartition("e")
     if e and abs(int(exp)) > MAX_EXPONENT:
         raise ConfigError(
-            f"expected a decimal exponent of at most {MAX_EXPONENT} in size, got {text!r}"
+            f"expected a decimal exponent of at most {MAX_EXPONENT} in size, got {reprlib.repr(text)}"
         )
     return Fraction(text)
 
@@ -262,11 +265,11 @@ def _parse_topology(fields: _Fields, base_dir: Path) -> Topology:
         for token in value.split():
             parts = token.split(",")
             if len(parts) != 2:
-                raise ConfigError(f"{where}: expected `i,j` pairs, got {token!r}")
+                raise ConfigError(f"{where}: expected `i,j` pairs, got {reprlib.repr(token)}")
             try:
                 i, j = int(parts[0]), int(parts[1])
             except ValueError:
-                raise ConfigError(f"{where}: non-integer endpoint in {token!r}") from None
+                raise ConfigError(f"{where}: non-integer endpoint in {reprlib.repr(token)}") from None
             try:
                 _add_edge(i, j, n, edges)
             except ValueError as exc:
@@ -415,11 +418,9 @@ def _do_graph_check(cfg: ExperimentConfig) -> tuple[int, str, dict[str, str]]:
     except ValueError:
         pass  # brute force refuses very large graphs; the fact is optional
     if cfg.adversary is not None:
-        cut = is_vertex_cut(t, cfg.adversary)
-        rest = set(t.vertices) - cfg.adversary
-        comps = connected_components(t, rest)
+        comps = _cut_components(t, cfg.adversary)
         lines.append(
-            f"vertex cut: {'yes' if cut else 'no'}; components: {_format_components(comps)}"
+            f"vertex cut: {'yes' if len(comps) > 1 else 'no'}; components: {_format_components(comps)}"
         )
     return 0, "\n".join(lines) + "\n", {}
 

@@ -103,8 +103,8 @@ class _SpreadTrace(Sequence):
     round, `starts[j]`; in a report read back, the spread's lowest terms. A
     run lasts until the next run starts or the trace's `rounds` end. Items are built as
     `Fraction`s on access, so the trace compares equal to a tuple or list of
-    one `Fraction` per round; `spread_texts`, `floats` and `float_texts`
-    convert each run once and repeat the result for each of its rounds.
+    one `Fraction` per round; `spread_texts` and `float_texts` convert each
+    run once and repeat the result for each of its rounds.
     """
 
     __slots__ = ("_spreads", "_dens", "_starts", "_rounds")
@@ -142,13 +142,9 @@ class _SpreadTrace(Sequence):
         runs = zip(self._spreads, self._dens, self._starts, ends)
         return chain.from_iterable(repeat(convert(s, d), e - b) for s, d, b, e in runs)
 
-    def floats(self) -> Iterator[float]:
-        """`float(Fraction(s, d))` for every round: int true division rounds
-        correctly, so `s / d` is the same float."""
-        return self._per_round(int.__truediv__)
-
     def float_texts(self) -> Iterator[str]:
-        """`repr` of `floats()`, each run's formatted once."""
+        """`repr(float(Fraction(s, d)))` for every round, each run's formatted
+        once: int true division rounds correctly, so `s / d` is the same float."""
         return self._per_round(lambda s, d: repr(s / d))
 
 

@@ -8,6 +8,7 @@ difference vectors are reported against it).
 from __future__ import annotations
 
 import itertools
+import reprlib
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -71,7 +72,7 @@ class Topology:
 def _add_edge(i: int, j: int, n: int, seen: set[tuple[int, int]]) -> None:
     """Check edge {i, j} of a simple graph on 1..n and add it to `seen` as (low, high)."""
     if not (1 <= i <= n and 1 <= j <= n):
-        raise ValueError(f"edge {{{i},{j}}} has an endpoint outside 1..{n}")
+        raise ValueError(f"edge {{{reprlib.repr(i)},{reprlib.repr(j)}}} has an endpoint outside 1..{n}")
     if i == j:
         raise ValueError(f"self-loop at vertex {i}")
     edge = (i, j) if i < j else (j, i)
@@ -125,14 +126,18 @@ def _require_connected(t: Topology, what: str) -> None:
         raise ValueError(f"{what} needs a connected graph; components: {_format_components(comps)}")
 
 
-def is_vertex_cut(t: Topology, cut: Iterable[int]) -> bool:
-    """True iff deleting `cut` (a proper subset of V) disconnects the rest."""
+def _cut_components(t: Topology, cut: Iterable[int]) -> list[frozenset[int]]:
+    """Components left after deleting `cut`, a proper subset of V."""
     c = set(cut)
     _require_vertices(t, c)
     if len(c) == t.n:
         raise ValueError("cut equals the whole vertex set; only proper subsets qualify")
-    rest = set(t.vertices) - c
-    return len(connected_components(t, rest)) > 1
+    return connected_components(t, set(t.vertices) - c)
+
+
+def is_vertex_cut(t: Topology, cut: Iterable[int]) -> bool:
+    """True iff deleting `cut` (a proper subset of V) disconnects the rest."""
+    return len(_cut_components(t, cut)) > 1
 
 
 def vertex_connectivity(t: Topology) -> int:
@@ -252,7 +257,7 @@ def load_topology_text(text: str) -> Topology:
                 raise ValueError(f"line {lineno}: vertex count must be at least 1, got {n}")
             if n > MAX_VERTICES:
                 raise ValueError(
-                    f"line {lineno}: vertex count must be at most {MAX_VERTICES}, got {n}"
+                    f"line {lineno}: vertex count must be at most {MAX_VERTICES}, got {reprlib.repr(n)}"
                 )
         elif parts[0] == "e":
             if n is None:
@@ -268,7 +273,7 @@ def load_topology_text(text: str) -> Topology:
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
         else:
-            raise ValueError(f"line {lineno}: unknown directive {parts[0]!r}")
+            raise ValueError(f"line {lineno}: unknown directive {reprlib.repr(parts[0])}")
     if n is None:
         raise ValueError("missing n line")
     return Topology(n, edges)

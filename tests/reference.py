@@ -13,7 +13,9 @@ rows by an incidence-matrix product (`reference_view_rows`), counts them with
 `np.unique(axis=0)` and merges them one row at a time, and
 `reference_marginal_bins` and `reference_full_view_bins` bin sampled view
 keys one key at a time, as the audits did before they worked on
-mixed-radix codes and columns; `reference_histogram_csv` formats
+mixed-radix codes and columns, and `reference_two_sample_chi_square` builds
+its table from those dicts one outcome at a time, as the sampled audit did
+before it aligned two `Histogram`s' code arrays; `reference_histogram_csv` formats
 `histogram.csv` from decoded, re-sorted outcome tuples. The fast paths in
 `privavg` must reproduce them byte for byte. `histogram_from_counts` turns a
 hand-made {outcome: count} dict into the `Histogram` the audits build, for
@@ -29,7 +31,7 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from privavg.audit import Histogram, _b_chunks, _count_rows, _row_tuples, _space_size
+from privavg.audit import Histogram, _b_chunks, _count_rows, _row_tuples, _space_size, chi2_contingency
 from privavg.consensus import ConsensusAlgo, ConsensusResult, ConvergenceError, finalize
 from privavg.masking import (
     MaskShareMsg,
@@ -386,3 +388,17 @@ def reference_marginal_bins(
     for m in range(1, num_cols + 1):
         bins.append(Counter(k[n + m - 1] for k in keys))
     return bins
+
+
+def reference_two_sample_chi_square(bins_a: Mapping, bins_b: Mapping) -> tuple[float, float]:
+    """The chi-square of two {outcome: count} dicts, one column per sorted outcome."""
+    outcomes = sorted(set(bins_a) | set(bins_b))
+    if len(outcomes) == 1:
+        return 0.0, 1.0
+    table = np.array(
+        [[bins_a.get(o, 0) for o in outcomes], [bins_b.get(o, 0) for o in outcomes]]
+    )
+    statistic, pvalue, expected = chi2_contingency(table)
+    if expected.min() < 5:
+        raise ValueError(f"expected count {expected.min():.2f} below 5 in some bin")
+    return float(statistic), float(pvalue)

@@ -26,7 +26,7 @@ from privavg.audit import (
 )
 from privavg.masking import ProtocolParams, build_states, edge_differences, exchange_shares
 from privavg.residues import Modulus, SeededRng
-from privavg.simnet import AdversarySpec
+from privavg.simnet import AdversarySpec, simulate
 from privavg.topology import Topology, connected_components, incidence_rank_mod_p
 
 from conftest import path3, random_connected_topology, ten_node_three_separators, triangle
@@ -188,7 +188,7 @@ def test_view_identity_is_symmetric():
 def test_view_identity_preconditions():
     t = path3()
     adv = AdversarySpec(members=frozenset({3}))
-    with pytest.raises(ValueError, match="agree on coalition"):
+    with pytest.raises(ValueError, match="agree outside the honest agents: agent 3 has 0 vs 1"):
         check_view_indistinguishability(t, 3, adv, (1, 2, 0), (2, 1, 1))
     with pytest.raises(ValueError, match="equal sums"):
         check_view_indistinguishability(t, 3, adv, (1, 2, 0), (2, 2, 0))
@@ -223,6 +223,50 @@ def test_raw_share_pairs_agree_with_difference_level_views():
         raw[key] = raw.get(key, 0) + 1
     hist = enumerate_view_distribution(t, p, AdversarySpec(members=frozenset({2})), s)
     assert raw == {k: v * p for k, v in hist.counts.items()}
+
+
+def _simulated_view_cases():
+    # (graph, p, coalition): every connected labelled graph on 2-4 vertices
+    # with p^(2|E|) raw share assignments at most 4,000 and p > n, so that
+    # inputs from [0, 2) fit the modulus; every non-empty proper coalition
+    for p in (3, 5):
+        for n in range(2, 5):
+            pairs = list(itertools.combinations(range(1, n + 1), 2))
+            for r in range(n - 1, len(pairs) + 1):
+                if p ** (2 * r) > 4000 or p <= n:
+                    continue
+                for edges in itertools.combinations(pairs, r):
+                    t = Topology(n, list(edges))
+                    if len(connected_components(t)) > 1:
+                        continue
+                    for k in range(1, n):
+                        for members in itertools.combinations(t.vertices, k):
+                            yield t, p, frozenset(members)
+
+
+def test_simulated_views_are_the_enumerated_views():
+    # one simulate run per raw share assignment, every directed edge pinned:
+    # each difference vector arises from p^|E| assignments
+    rnd = random.Random(2018)
+    cases = runs = 0
+    for t, p, members in _simulated_view_cases():
+        q = (p - 1) // t.n + 1  # the largest input bound p > n(q-1) allows
+        params = ProtocolParams(n=t.n, q=q, p=Modulus(p))
+        s = tuple(rnd.randrange(q) for _ in t.vertices)
+        adversary = AdversarySpec(members)
+        directed = [(i, j) for i, j in t.edges] + [(j, i) for i, j in t.edges]
+        seen = {}
+        for shares in itertools.product(range(p), repeat=len(directed)):
+            view = simulate(t, s, params, adversary=adversary, share_override=dict(zip(directed, shares))).view
+            key = tuple(view.all_effective_inputs[i] for i in t.vertices) + tuple(
+                view.incident_differences[e] for e in t.edges if e[0] in members or e[1] in members
+            )
+            seen[key] = seen.get(key, 0) + 1
+            runs += 1
+        hist = enumerate_view_distribution(t, p, adversary, s)
+        assert seen == {k: v * p ** len(t.edges) for k, v in hist.items()}, (t.edges, p, members)
+        cases += 1
+    assert (cases, runs) == (22, 11318)
 
 
 def test_honest_masks_stay_uniform_given_listener_differences():

@@ -82,6 +82,21 @@ def test_graph_check_reports_cut_components(tmp_path, capsys):
     assert "vertex cut: yes; components: {1,2} {4} {6,7,8,9}" in out
 
 
+@pytest.mark.parametrize(
+    "members, line",
+    [("1 2 3", "error: cut equals the whole vertex set; only proper subsets qualify"),
+     ("2 9", "error: vertex 9 outside 1..3")],
+    ids=["every-vertex", "outside"],
+)
+def test_graph_check_refuses_a_coalition_that_is_no_proper_subset(tmp_path, capsys, members, line):
+    cfg = tmp_path / "path.cfg"
+    cfg.write_text(f"[topology]\nn = 3\nedges = 1,2 2,3\n\n[adversary]\nmembers = {members}\n")
+    assert main(["graph-check", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [line]
+
+
 def test_audit_exit_status_tracks_verdict(tmp_path, capsys):
     passing = tmp_path / "pass.cfg"
     passing.write_text(
@@ -510,6 +525,35 @@ def test_tolerance_exponents_up_to_the_cap_parse():
     for text in ("1e-10001", "1E+10001", "2e" + "9" * 5000):
         with pytest.raises(ConfigError, match=r"^line 6: \[experiment\] tolerance: expected a "):
             parse_config(GOLDEN_CFG.replace("p = 30", f"p = 30\ntolerance = {text}"))
+
+
+NINES = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("n = 3", f"n = {NINES}"),
+        ("p = 30", f"p = 30\ntolerance = {NINES}"),
+        ("n = 3", f"n = {NINES[:4000]}"),  # converts, then fails its bound
+        ("p = 30", f"p = {NINES[:4000]}"),
+        ("algo = flood", f"algo = {NINES}"),
+        ("1,2 2,3", f"1,{NINES[:4000]} 2,3"),
+        ("1,2 2,3", f"1,x{NINES} 2,3"),
+        ("1,2 2,3", f"1,2,{NINES} 2,3"),
+        ("seed = 42", f"seed{NINES}"),
+        ("seed = 42", f"seed{NINES} = 1"),
+    ],
+    ids=["n", "tolerance", "n-bound", "p-bound", "algo", "endpoint", "token", "pair", "no-equals", "key"],
+)
+def test_long_config_values_give_one_short_line(tmp_path, capsys, old, new):
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text(GOLDEN_CFG.replace(old, new, 1))
+    assert main(["run", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert line.startswith("config error: ") and len(line) < 200, line[:300]
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,7 @@ from collections import Counter
 
 from privavg.audit import (
     EnumerationBudgetError,
-    _bins,
+    Histogram,
     _coalition_edges,
     _count_rows,
     _digits,
@@ -55,6 +55,7 @@ from reference import (
     reference_sample_view_keys,
     reference_share_values,
     reference_simulate,
+    reference_two_sample_chi_square,
 )
 
 
@@ -209,7 +210,7 @@ def test_gossip_refuses_values_that_are_not_whole_numbers():
         res = gossip_avg(t, {1: 4, 2: 0, 3: seven, 4: 9}, algo, rng,
                          on_exchange=lambda i, j, mean: calls.append((i, j, mean)))
         runs.append((res.per_agent, list(res.per_agent), res.rounds, list(spread_texts(res.spread_trace)),
-                     list(res.spread_trace.floats()), calls, rng.randint_below(2**32)))
+                     list(res.spread_trace.float_texts()), calls, rng.randint_below(2**32)))
     assert runs[0] == runs[1]
 
 
@@ -227,7 +228,6 @@ def _run_trace(runs):
 def _assert_reads_like(trace, want):
     assert list(spread_texts(trace)) == [str(x) for x in want]
     assert list(spread_texts(want)) == [str(x) for x in want]
-    assert list(trace.floats()) == [float(x) for x in want]
     assert list(trace.float_texts()) == [repr(float(x)) for x in want]
     assert len(trace) == len(want) and tuple(trace) == want
     every = range(-len(want), len(want))
@@ -273,11 +273,10 @@ def test_spread_trace_formats_like_fractions():
             runs.append((s, den, length))
         _assert_reads_like(*_run_trace(runs))
     zero, want = _run_trace([(0, 2**70, 3)])
-    assert list(spread_texts(zero)) == ["0"] * 3 and list(zero.floats()) == [0.0] * 3
+    assert list(spread_texts(zero)) == ["0"] * 3
     _assert_reads_like(zero, want)
     # past the float range the division underflows exactly as float(Fraction) does
     tiny, want = _run_trace([(3, 2**1100, 1), (1, 2**1075, 2), (2**1100, 2**1100, 4)])
-    assert list(tiny.floats()) == [float(Fraction(3, 2**1100))] + [float(Fraction(1, 2**1075))] * 2 + [1.0] * 4
     _assert_reads_like(tiny, want)
 
 
@@ -297,7 +296,6 @@ def test_gossip_builds_fractions_per_agent_not_per_round(monkeypatch):
     # the per-agent results on the way out
     assert len(built) <= t.n
     list(spread_texts(res.spread_trace))
-    list(res.spread_trace.floats())
     list(res.spread_trace.float_texts())
     assert len(built) <= t.n
 
@@ -557,10 +555,11 @@ def test_full_view_chi_square_matches_tuple_bins():
             _sample_view_rows(t, p, vec, cols, {i: SeededRng(k, (idx, i)) for i in t.vertices}, 2000)
             for idx, vec in enumerate((s, s_prime))
         ]
-        assert (_count_rows(rows[0], p)[0].dtype == object) == (t.n == 40)
-        fast = _two_sample_chi_square(*(_bins(r, p) for r in rows))
-        slow = _two_sample_chi_square(*(reference_full_view_bins(r) for r in rows))
+        fast = [Histogram.from_rows(r, p) for r in rows]
+        slow = [reference_full_view_bins(r) for r in rows]
+        assert (fast[0].codes.dtype == object) == (t.n == 40)
         assert fast == slow
+        assert _two_sample_chi_square(*fast) == reference_two_sample_chi_square(*slow)
 
 
 def _views_both(t, p, members, s, budget=10**7):
@@ -653,6 +652,11 @@ def test_enumeration_refuses_spaces_int64_codes_cannot_index():
         enumerate_mask_distribution(Topology(64, [(i, i + 1) for i in range(1, 64)]), 2, budget=2**64)
 
 
+def _by_value(marginals):
+    # one-column histograms as {value: count}, the reference's form
+    return [{v: c for (v,), c in h.items()} for h in marginals]
+
+
 @pytest.mark.parametrize("p", [2, 30, 2**64 - 59])
 def test_marginal_bins_match_the_per_key_counters(p):
     rnd = random.Random(p % 997)
@@ -662,10 +666,24 @@ def test_marginal_bins_match_the_per_key_counters(p):
         honest = [i for i in t.vertices if i not in members]
         rngs = {i: SeededRng(11, (1, i)) for i in t.vertices}
         rows = _sample_view_rows(t, p, s, cols, rngs, samples=300)
-        fast = _marginal_bins(rows, p, honest, len(cols))
+        fast = _by_value(_marginal_bins(rows, p, honest, len(cols)))
         slow = reference_marginal_bins(list(_row_tuples(rows)), p, honest, len(cols))
         assert fast == slow
         assert all(type(v) is int and type(c) is int for b in fast for v, c in b.items())
+
+
+def test_marginal_chi_square_matches_the_per_key_tables():
+    # each marginal of a path's views with agent 2 in the coalition, tested as
+    # the sampled audit tests it
+    p = 30
+    rows = [
+        _sample_view_rows(path3(), p, vec, [0, 1], {i: SeededRng(4, (idx, i)) for i in (1, 2, 3)}, 3000)
+        for idx, vec in enumerate(((1, 0, 2), (2, 0, 1)))
+    ]
+    fast = [_marginal_bins(r, p, [1, 3], 2) for r in rows]
+    slow = [reference_marginal_bins(list(_row_tuples(r)), p, [1, 3], 2) for r in rows]
+    for a, b, ref_a, ref_b in zip(*fast, *slow):
+        assert _two_sample_chi_square(a, b) == reference_two_sample_chi_square(ref_a, ref_b)
 
 
 def test_marginal_honest_sum_past_int64():
@@ -675,7 +693,7 @@ def test_marginal_honest_sum_past_int64():
     s = tuple(p - k for k in range(1, 7))
     rows = _sample_view_rows(t, p, s, [], {i: SeededRng(3, (0, i)) for i in t.vertices}, samples=50)
     assert rows.dtype == np.int64
-    fast = _marginal_bins(rows, p, list(t.vertices), 0)
+    fast = _by_value(_marginal_bins(rows, p, list(t.vertices), 0))
     assert fast == reference_marginal_bins(list(_row_tuples(rows)), p, list(t.vertices), 0)
     assert fast == [{sum(s) % p: 50}]
 
@@ -696,12 +714,20 @@ def test_chi2_contingency_matches_scipy_bit_for_bit():
         assert np.array_equal(expected, res.expected_freq)
 
 
+def _column(counts):
+    # a one-column histogram of values mod 5
+    return histogram_from_counts({(v,): c for v, c in counts.items()}, 5, 1)
+
+
 def test_two_sample_chi_square_refuses_small_expected_counts():
     with pytest.raises(ValueError, match="expected count 2.50 below 5"):
-        _two_sample_chi_square({0: 3, 1: 2}, {0: 2, 1: 3})
-    assert _two_sample_chi_square({4: 9}, {4: 7}) == (0.0, 1.0)
-    stat, pvalue = _two_sample_chi_square({0: 30, 1: 20}, {0: 20, 1: 30})
+        _two_sample_chi_square(_column({0: 3, 1: 2}), _column({0: 2, 1: 3}))
+    assert _two_sample_chi_square(_column({4: 9}), _column({4: 7})) == (0.0, 1.0)
+    stat, pvalue = _two_sample_chi_square(_column({0: 30, 1: 20}), _column({0: 20, 1: 30}))
     assert stat == 4.0 and 0.045 < pvalue < 0.046
+    # outcomes seen in one sample only get a zero in the other's row
+    a, b = {0: 30, 1: 20, 3: 12}, {1: 25, 2: 40, 3: 9}
+    assert _two_sample_chi_square(_column(a), _column(b)) == reference_two_sample_chi_square(a, b)
 
 
 def _moved_inputs(s, p, honest):
