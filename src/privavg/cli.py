@@ -13,7 +13,7 @@ import decimal
 import functools
 import reprlib
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, Optional
@@ -28,7 +28,7 @@ from .audit import (
     histogram_csv,
     sampled_view_test,
 )
-from .consensus import ConsensusAlgo
+from .consensus import ConsensusAlgo, number_text, short_text
 from .masking import ProtocolParams
 from .residues import Modulus
 from .simnet import AdversarySpec, simulate
@@ -60,18 +60,6 @@ AUDIT_CLAIMS = (
     "group-privacy",
     "sampled-view",
 )
-
-_SCHEMA = {
-    "experiment": {
-        "seed", "schedule_seed", "algo", "p", "q1", "q2",
-        "max_delay", "tolerance", "max_rounds",
-    },
-    "topology": {"n", "edges", "file"},
-    "inputs": {"values"},
-    "adversary": {"members"},
-    "audit": {"claim", "s_prime", "group", "samples", "alpha", "budget"},
-}
-
 
 # the largest decimal exponent, in size, of a rational read from text:
 # `Fraction("1e-N")` expands 10**N before anything can compare it
@@ -139,97 +127,6 @@ def _strip(line: str) -> str:
     return (line[:cut] if cut >= 0 else line).strip()
 
 
-def _parse_raw(text: str) -> dict[tuple[str, str], tuple[str, str]]:
-    """Map each (section, key) to its value and to where diagnostics say it came from."""
-    entries: dict[tuple[str, str], tuple[str, str]] = {}
-    section = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip(raw)
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1].strip()
-            if section not in _SCHEMA:
-                raise ConfigError(f"line {lineno}: unknown section [{section}]")
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected `key = value`, got {reprlib.repr(line)}")
-        if section is None:
-            raise ConfigError(f"line {lineno}: key before any [section] header")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _SCHEMA[section]:
-            raise ConfigError(f"line {lineno}: unknown key {reprlib.repr(key)} in [{section}]")
-        if (section, key) in entries:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r} in [{section}]")
-        if not value:
-            raise ConfigError(f"line {lineno}: [{section}] {key}: empty value")
-        entries[(section, key)] = (value, f"line {lineno}: [{section}] {key}")
-    return entries
-
-
-class _Fields:
-    def __init__(self, entries):
-        self.entries = entries
-
-    def raw(self, section, key):
-        return self.entries.get((section, key))
-
-    def _convert(self, section, key, conv, what, default, bounds=()):
-        """`bounds` holds (predicate, text) pairs; the first a converted value
-        fails names it with its text."""
-        got = self.raw(section, key)
-        if got is None:
-            return default
-        value, where = got
-        try:
-            result = conv(value)
-        except ConfigError as exc:  # a cap on the text, checked before converting it
-            raise ConfigError(f"{where}: {exc}") from None
-        except (ValueError, ZeroDivisionError):
-            raise ConfigError(f"{where}: expected {what}, got {reprlib.repr(value)}") from None
-        for ok, text in bounds:
-            if not ok(result):
-                # reprlib would show a Fraction as its repr, not as the number
-                shown = result if isinstance(result, Fraction) else reprlib.repr(result)
-                raise ConfigError(f"{where}: expected {what} {text}, got {shown}")
-        return result
-
-    def integer(self, section, key, default=None, minimum=None, bits=None, bounds=()):
-        """An integer >= `minimum`, and below 2**`bits` when `bits` is given,
-        that passes `bounds` as well."""
-        if bits is not None:
-            bounds = ((lambda v: minimum <= v < 2**bits, f"in [{minimum}, 2**{bits})"), *bounds)
-        elif minimum is not None:
-            bounds = ((lambda v: v >= minimum, f">= {minimum}"), *bounds)
-        return self._convert(section, key, int, "an integer", default, bounds)
-
-    def fraction(self, section, key, default=None, positive=False):
-        """A rational as `Fraction` reads it, with a decimal exponent of at
-        most `MAX_EXPONENT` in size, checked first."""
-        bounds = [(lambda v: v > 0, "> 0")] if positive else ()
-        return self._convert(section, key, _rational, "a rational", default, bounds)
-
-    def real(self, section, key, default=None, bounds=()):
-        return self._convert(section, key, float, "a real number", default, bounds)
-
-    def int_list(self, section, key, default=None):
-        return self._convert(
-            section, key, lambda v: tuple(int(x) for x in v.split()),
-            "space-separated integers", default,
-        )
-
-    def word(self, section, key, choices, default=None):
-        got = self.raw(section, key)
-        if got is None:
-            return default
-        value, where = got
-        if value not in choices:
-            raise ConfigError(
-                f"{where}: expected one of {', '.join(sorted(choices))}, got {reprlib.repr(value)}"
-            )
-        return value
-
-
 def _rational(text: str) -> Fraction:
     _, e, exp = text.lower().rpartition("e")
     if e and abs(int(exp)) > MAX_EXPONENT:
@@ -239,41 +136,134 @@ def _rational(text: str) -> Fraction:
     return Fraction(text)
 
 
-def _parse_topology(fields: _Fields, base_dir: Path) -> Topology:
-    file_entry = fields.raw("topology", "file")
-    inline_n = fields.raw("topology", "n")
-    if file_entry and inline_n:
-        raise ConfigError(f"{file_entry[1]} conflicts with inline n/edges")
-    if file_entry:
-        path = base_dir / file_entry[0]
+def _choice(words: Mapping[str, str]):
+    """A reader of one of `words`, mapped to its value."""
+    return words.__getitem__, f"one of {', '.join(sorted(words))}"
+
+
+def _at_least(low: int):
+    return lambda v, _: v >= low, f">= {low}"
+
+
+def _in_u64(low: int):
+    return lambda v, _: low <= v < 2**64, f"in [{low}, 2**64)"
+
+
+_INT = (int, "an integer")
+_INTS = (lambda text: tuple(int(x) for x in text.split()), "space-separated integers")
+_INT_SET = (lambda text: frozenset(_INTS[0](text)), _INTS[1])
+
+# Every config key, each in one section: (section, ExperimentConfig field,
+# reader, *bounds), in read order, so a bad scalar is named before a bad graph.
+# A reader is (convert, what it expects). A bound is (test(value, cfg), text),
+# text(cfg) where it shows an earlier key's value; the complaint names the
+# first bound a value fails. "algo.x" sets knob x of the ConsensusAlgo; the
+# [topology] keys set no field and are read last, by _parse_topology.
+_KEYS = {
+    "algo": ("experiment", "algo.variant", _choice({"flood": "flood_sum", "gossip": "gossip_avg"})),
+    "tolerance": ("experiment", "algo.gossip_tolerance", (_rational, "a rational"),
+                  (lambda v, _: v > 0, "> 0")),
+    "max_rounds": ("experiment", "algo.max_rounds", _INT, _at_least(1)),
+    "members": ("adversary", "adversary", _INT_SET),
+    "group": ("audit", "audit_group", _INT_SET),
+    "seed": ("experiment", "seed", _INT, _in_u64(0)),
+    "values": ("inputs", "inputs", _INTS),
+    "q1": ("experiment", "q1", _INT),
+    "q2": ("experiment", "q2", _INT,
+           (lambda v, cfg: v >= cfg.q1, lambda cfg: f">= q1 = {short_text(number_text(cfg.q1))}")),
+    "p": ("experiment", "p", _INT, _in_u64(2)),
+    "schedule_seed": ("experiment", "schedule_seed", _INT, _in_u64(0)),
+    "max_delay": ("experiment", "max_delay", _INT,
+                  _at_least(1), (lambda v, _: v < 2**64, "below 2**64")),
+    "claim": ("audit", "audit_claim", _choice(dict(zip(AUDIT_CLAIMS, AUDIT_CLAIMS)))),
+    "s_prime": ("audit", "audit_s_prime", _INTS),
+    "samples": ("audit", "samples", _INT, _at_least(1)),
+    "alpha": ("audit", "alpha", (float, "a real number"), (lambda v, _: 0 < v < 1, "in (0, 1)")),
+    "budget": ("audit", "budget", _INT, _at_least(1)),
+    "n": ("topology", None, _INT, _at_least(1), (lambda v, _: v <= MAX_VERTICES, f"<= {MAX_VERTICES}")),
+    "edges": ("topology", None, None),
+    "file": ("topology", None, None),
+}
+_SECTIONS = {section for section, *_ in _KEYS.values()}
+
+
+def _parse_raw(text: str) -> dict[str, tuple[str, str]]:
+    """Map each key to its value and to where diagnostics say it came from."""
+    entries: dict[str, tuple[str, str]] = {}
+    section = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = _strip(raw)
+        if not line:
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            section = line[1:-1].strip()
+            if section not in _SECTIONS:
+                raise ConfigError(f"line {lineno}: unknown section [{short_text(section)}]")
+            continue
+        if "=" not in line:
+            raise ConfigError(f"line {lineno}: expected `key = value`, got {reprlib.repr(line)}")
+        if section is None:
+            raise ConfigError(f"line {lineno}: key before any [section] header")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _KEYS or _KEYS[key][0] != section:
+            raise ConfigError(f"line {lineno}: unknown key {reprlib.repr(key)} in [{section}]")
+        if key in entries:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r} in [{section}]")
+        if not value:
+            raise ConfigError(f"line {lineno}: [{section}] {key}: empty value")
+        entries[key] = (value, f"line {lineno}: [{section}] {key}")
+    return entries
+
+
+def _read(entries: Mapping[str, tuple[str, str]], key: str, cfg=None):
+    """`key`'s value, converted and checked against its bounds in order; None if unset."""
+    if key not in entries:
+        return None
+    text, where = entries[key]
+    _, _, (convert, what), *bounds = _KEYS[key]
+    try:
+        value = convert(text)
+    except ConfigError as exc:  # a cap on the text, checked before converting it
+        raise ConfigError(f"{where}: {exc}") from None
+    except (ValueError, ZeroDivisionError, KeyError):
+        raise ConfigError(f"{where}: expected {what}, got {reprlib.repr(text)}") from None
+    for ok, bound in bounds:
+        if not ok(value, cfg):
+            bound = bound if isinstance(bound, str) else bound(cfg)
+            # number_text has no digit limit; reprlib would show a Fraction as its repr
+            raise ConfigError(f"{where}: expected {what} {bound}, got {short_text(number_text(value))}")
+    return value
+
+
+def _parse_topology(entries: Mapping[str, tuple[str, str]], base_dir: Path) -> Topology:
+    if "file" in entries:
+        name, where = entries["file"]
+        if "n" in entries:
+            raise ConfigError(f"{where} conflicts with inline n/edges")
+        path = base_dir / name
         try:
             return load_topology_text(path.read_text())
         except OSError as exc:
-            raise ConfigError(f"{file_entry[1]}: {exc}") from None
+            raise ConfigError(f"{where}: {exc}") from None
         except ValueError as exc:
             raise ConfigError(f"[topology] file {path}: {exc}") from None
-    n = fields.integer(
-        "topology", "n", minimum=1,
-        bounds=[(lambda v: v <= MAX_VERTICES, f"<= {MAX_VERTICES}")],
-    )
+    n = _read(entries, "n")
     if n is None:
         raise ConfigError("[topology] needs either `file` or `n` and `edges`")
-    edges_entry = fields.raw("topology", "edges")
     edges: set[tuple[int, int]] = set()
-    if edges_entry is not None:
-        value, where = edges_entry
-        for token in value.split():
-            parts = token.split(",")
-            if len(parts) != 2:
-                raise ConfigError(f"{where}: expected `i,j` pairs, got {reprlib.repr(token)}")
-            try:
-                i, j = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ConfigError(f"{where}: non-integer endpoint in {reprlib.repr(token)}") from None
-            try:
-                _add_edge(i, j, n, edges)
-            except ValueError as exc:
-                raise ConfigError(f"{where}: {exc}") from None
+    value, where = entries.get("edges", ("", ""))
+    for token in value.split():
+        parts = token.split(",")
+        if len(parts) != 2:
+            raise ConfigError(f"{where}: expected `i,j` pairs, got {reprlib.repr(token)}")
+        try:
+            i, j = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ConfigError(f"{where}: non-integer endpoint in {reprlib.repr(token)}") from None
+        try:
+            _add_edge(i, j, n, edges)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
     return Topology(n, edges)
 
 
@@ -287,51 +277,15 @@ def parse_config(
     complaint about it names `--key`.
     """
     entries = _parse_raw(text)
-    for key, value in (flags or {}).items():
-        section = next(s for s, keys in _SCHEMA.items() if key in keys)
-        entries[(section, key)] = (value, f"--{key}")
-    fields = _Fields(entries)
-    algo_name = fields.word("experiment", "algo", {"flood", "gossip"}, "flood")
-    algo_kwargs = {}
-    tol = fields.fraction("experiment", "tolerance", positive=True)
-    if tol is not None:
-        algo_kwargs["gossip_tolerance"] = tol
-    rounds = fields.integer("experiment", "max_rounds", minimum=1)
-    if rounds is not None:
-        algo_kwargs["max_rounds"] = rounds
-    algo = ConsensusAlgo(
-        variant="flood_sum" if algo_name == "flood" else "gossip_avg", **algo_kwargs
-    )
-    members = fields.int_list("adversary", "members")
-    adversary = frozenset(members) if members is not None else None
-    group = fields.int_list("audit", "group")
-    # scalar conversions first so their line diagnostics beat structural complaints
-    scalars = dict(
-        seed=fields.integer("experiment", "seed", 0, minimum=0, bits=64),
-        inputs=fields.int_list("inputs", "values"),
-        q1=(q1 := fields.integer("experiment", "q1", 0)),
-        q2=fields.integer("experiment", "q2", bounds=[(lambda v: v >= q1, f">= q1 = {q1}")]),
-        p=fields.integer("experiment", "p", minimum=2, bits=64),
-        schedule_seed=fields.integer("experiment", "schedule_seed", minimum=0, bits=64),
-        max_delay=fields.integer(
-            "experiment", "max_delay", ExperimentConfig.max_delay, minimum=1,
-            bounds=[(lambda v: v < 2**64, "below 2**64")],
-        ),
-        audit_claim=fields.word("audit", "claim", set(AUDIT_CLAIMS)),
-        audit_s_prime=fields.int_list("audit", "s_prime"),
-        samples=fields.integer("audit", "samples", minimum=1),
-        alpha=fields.real(
-            "audit", "alpha", ExperimentConfig.alpha, bounds=[(lambda v: 0 < v < 1, "in (0, 1)")]
-        ),
-        budget=fields.integer("audit", "budget", ExperimentConfig.budget, minimum=1),
-    )
-    return ExperimentConfig(
-        topology=_parse_topology(fields, Path(base_dir)),
-        algo=algo,
-        adversary=adversary,
-        audit_group=frozenset(group) if group is not None else None,
-        **scalars,
-    )
+    entries.update((key, (value, f"--{key}")) for key, value in (flags or {}).items())
+    cfg = ExperimentConfig(topology=None)  # unset keys keep defaults; bounds read earlier keys
+    for key, (_, target, *_) in _KEYS.items():
+        value = None if target is None else _read(entries, key, cfg)
+        if value is not None:
+            name, _, knob = target.partition(".")
+            setattr(cfg, name, replace(cfg.algo, **{knob: value}) if knob else value)
+    cfg.topology = _parse_topology(entries, Path(base_dir))
+    return cfg
 
 
 def _require(cfg_value, what):
@@ -448,21 +402,18 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Privately averaged consensus: simulate, audit, inspect graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc in (
-        ("run", "simulate one experiment and print the average"),
-        ("audit", "evaluate one distribution claim"),
-        ("graph-check", "report connectivity and cut facts"),
+    for name, doc, keys in (
+        ("run", "simulate one experiment and print the average", ("seed", "algo")),
+        ("audit", "evaluate one distribution claim", ("seed", "samples", "alpha")),
+        ("graph-check", "report connectivity and cut facts", ("seed",)),
     ):
         # a flag left out is absent from the namespace, not None
         cmd = sub.add_parser(name, help=doc, argument_default=argparse.SUPPRESS)
         cmd.add_argument("--config", required=True, help="path to a config file")
-        cmd.add_argument("--seed", help="override [experiment] seed")
         cmd.add_argument("--out", default=None, help="directory for report files")
-        if name == "run":
-            cmd.add_argument("--algo", help="override [experiment] algo: flood or gossip")
-        if name == "audit":
-            cmd.add_argument("--samples", help="override [audit] samples")
-            cmd.add_argument("--alpha", help="override [audit] alpha")
+        for key in keys:  # each flag is named after the config key it overrides
+            section, _, (_, what), *_ = _KEYS[key]
+            cmd.add_argument(f"--{key}", help=f"override [{section}] {key}: {what}")
     return parser
 
 

@@ -76,7 +76,7 @@ class ConsensusAlgo:
             raise ValueError(f"unknown consensus variant {self.variant!r}")
         tol = Fraction(self.gossip_tolerance)
         if tol <= 0:
-            raise ValueError(f"gossip tolerance must be positive, got {tol}")
+            raise ValueError(f"gossip tolerance must be positive, got {short_text(number_text(tol))}")
         object.__setattr__(self, "gossip_tolerance", tol)
         if self.max_rounds is not None and self.max_rounds < 1:
             raise ValueError(f"max_rounds must be positive, got {self.max_rounds}")
@@ -187,6 +187,14 @@ def number_text(num: Number, den: int = 1) -> str:
         if den == 1:
             num, den = num.numerator, num.denominator
         return str(Decimal(num)) if den == 1 else f"{Decimal(num)}/{Decimal(den)}"
+
+
+def short_text(text: str, width: int = 40) -> str:
+    """`text` cut in the middle to `width` characters, as `reprlib` cuts a long int."""
+    if len(text) <= width:
+        return text
+    head = (width - 3) // 2
+    return f"{text[:head]}...{text[len(text) - (width - 3 - head):]}"
 
 
 def parse_number(text: str) -> Number:

@@ -32,6 +32,7 @@ from .consensus import (
     gossip_avg,
     number_text,
     parse_number,
+    short_text,
     spread_texts,
 )
 from .masking import (
@@ -297,7 +298,7 @@ def _scenario_hash(
         f"q={params.q}",
         f"p={params.p.value}",
         f"algo={algo.variant}",
-        f"tol={algo.gossip_tolerance}",
+        f"tol={number_text(algo.gossip_tolerance)}",
         f"max_rounds={algo.max_rounds}",
         f"adversary={sorted(adversary.members) if adversary else None}",
         f"max_delay={max_delay}",
@@ -339,10 +340,8 @@ def simulate(
     _require_connected(t, "simulation")
     bound = Fraction(1, 2 * t.n * t.n)
     if algo.variant == "gossip_avg" and algo.gossip_tolerance >= bound:
-        raise ValueError(
-            f"gossip tolerance {algo.gossip_tolerance} must be below 1/(2n^2) = {bound} "
-            f"for n = {t.n}"
-        )
+        tol = short_text(number_text(algo.gossip_tolerance))
+        raise ValueError(f"gossip tolerance {tol} must be below 1/(2n^2) = {bound} for n = {t.n}")
     if max_delay < 1:
         raise ValueError(f"max_delay must be at least 1, got {max_delay}")
     if max_delay >= 2**64:

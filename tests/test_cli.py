@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from privavg.cli import ConfigError, decimal_text, main, normalize_inputs, parse_config
+from privavg.cli import _KEYS, ConfigError, decimal_text, main, normalize_inputs, parse_config
 from privavg.consensus import _SpreadTrace
 from privavg.simnet import RunReport
 
@@ -543,8 +543,13 @@ NINES = "9" * 5000
         ("1,2 2,3", f"1,2,{NINES} 2,3"),
         ("seed = 42", f"seed{NINES}"),
         ("seed = 42", f"seed{NINES} = 1"),
+        ("p = 30", "p = 30\ntolerance = -1e-5000"),  # fails its bound past str's digit limit
+        ("[inputs]", f"[{NINES}]"),
     ],
-    ids=["n", "tolerance", "n-bound", "p-bound", "algo", "endpoint", "token", "pair", "no-equals", "key"],
+    ids=[
+        "n", "tolerance", "n-bound", "p-bound", "algo", "endpoint", "token", "pair", "no-equals", "key",
+        "tolerance-bound", "section",
+    ],
 )
 def test_long_config_values_give_one_short_line(tmp_path, capsys, old, new):
     cfg = tmp_path / "long.cfg"
@@ -577,6 +582,35 @@ def test_out_of_memory_exits_one_with_one_line(tmp_path, capsys, monkeypatch, er
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [line]
+
+
+def test_flood_run_with_a_tolerance_past_the_digit_limit_writes_its_report(tmp_path, capsys):
+    # flooding ignores the tolerance, but the scenario hash still formats it
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(GOLDEN_CFG.replace("p = 30", "p = 30\ntolerance = 1e-5000"))
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out_dir)]) == 0
+    assert "average = 14/3 " in capsys.readouterr().out
+    text = (out_dir / "report.txt").read_text()
+    assert RunReport.from_text(text).to_text() == text
+
+
+def test_gossip_tolerance_past_the_digit_limit_exits_one_with_one_short_line(tmp_path, capsys):
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(GOLDEN_CFG.replace("p = 30", "p = 30\ntolerance = 1e5000"))
+    assert main(["run", "--config", str(cfg), "--algo", "gossip"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: gossip tolerance 1000") and len(line) < 200, line[:300]
+    assert line.endswith(" must be below 1/(2n^2) = 1/18 for n = 3")
+
+
+def test_readme_config_example_lists_every_key():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    (block,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    for key in _KEYS:
+        assert re.search(rf"\b{key} =", block), key
 
 
 def test_readme_config_example_runs_and_audits(tmp_path, capsys):

@@ -128,6 +128,9 @@ def test_algo_validation_and_budget():
         ConsensusAlgo("median")
     with pytest.raises(ValueError, match="positive"):
         ConsensusAlgo("gossip_avg", gossip_tolerance=Fraction(0))
+    # past str's 4,300-digit limit the value is still shown, cut to 40 characters
+    with pytest.raises(ValueError, match=r"^gossip tolerance must be positive, got -1/1000\S{33}$"):
+        ConsensusAlgo("gossip_avg", gossip_tolerance=Fraction(-1, 10**5000))
     with pytest.raises(ValueError, match="max_rounds"):
         ConsensusAlgo("gossip_avg", max_rounds=0)
     assert ConsensusAlgo().rounds_budget(triangle()) == 50 * 9 * 3
