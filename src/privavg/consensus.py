@@ -166,11 +166,17 @@ def spread_texts(spread: Sequence[Fraction]) -> Iterator[str]:
     return (_spread_text(x.numerator, x.denominator) for x in spread)
 
 
-def _ratio_text(num: int, den: int) -> str:
-    """`num / den` to three significant digits; past the float range, where
-    the float of a nonzero ratio underflows to 0, the digits come from `Decimal`."""
-    text = f"{num / den:.3g}"
-    return f"{Decimal(num) / Decimal(den):.3g}" if text == "0" and num else text
+def _ratio_text(num: int, den: int, spec: str = ".3g") -> str:
+    """`num / den` formatted by `spec`, three significant digits by default;
+    past the float range, where the float of the ratio overflows or, nonzero,
+    underflows to 0, the digits come from `Decimal`."""
+    try:
+        x = num / den
+        if x or not num:
+            return format(x, spec)
+    except OverflowError:
+        pass
+    return format(Decimal(num) / Decimal(den), spec)
 
 
 def number_text(num: Number, den: int = 1) -> str:
@@ -218,6 +224,16 @@ def _check_values(t: Topology, values: Mapping[int, Number]) -> None:
         raise ValueError("values must be keyed by every vertex exactly once")
 
 
+_STRIDE = 64  # bits by which gossip's denominator grows when a pair sum is odd
+
+
+def _require_sum(nums: list[int], total: int, first: int, last: int) -> None:
+    """Raise `InvariantError` unless the numerators still add up to `total`;
+    `first` to `last` are the rounds since the sum was last seen intact."""
+    if sum(nums) != total:
+        raise InvariantError(f"gossip lost the sum in rounds {first} to {last}")
+
+
 def gossip_avg(
     t: Topology,
     values: Mapping[int, Number],
@@ -231,17 +247,21 @@ def gossip_avg(
     ValueError naming its agent, before the first draw. One uniformly random
     edge activates per round and its endpoints move to their mean. Values are
     held as integer numerators, in a list by vertex position, over one shared
-    denominator, at first 1; it and every numerator double only when a pair
-    sum is odd, so it is a power of two, a round is integer arithmetic and
-    the global sum is checked unchanged after every one. The spread trace
-    stays integer too, as runs of equal value (see `_SpreadTrace`): a round
-    starts a run only if its spread over den differs from the last run's,
-    compared with that spread shifted left by every doubling since, and only
-    a round that moved the max or the min can; `Fraction`s are built only for
-    the mean handed to `on_exchange` and for the results, and they equal
-    those of pairwise `Fraction` means drawn with the same edge picks. Stops
-    once max - min is within twice the tolerance; exceeding the round budget
-    raises with the partial state attached.
+    denominator, at first 1. When a pair sum is odd, it and every numerator
+    shift left by `_STRIDE` (64) bits at once, so the denominator is a power
+    of two, a round is integer arithmetic, and a rebuild of the n numerators
+    comes about once per 64 halvings rather than once per odd sum. The global
+    sum is checked unchanged once every n rounds, after the last round and
+    before a `ConvergenceError`, so a lost sum is caught within n rounds at
+    amortized O(1) work per round. The spread trace stays integer too, as
+    runs of equal value (see `_SpreadTrace`): a round starts a run only if
+    its spread over den differs from the last run's, compared with that
+    spread shifted left by every stride since, and only a round that moved
+    the max or the min can; `Fraction`s are built only for the mean handed
+    to `on_exchange` and for the results, and they equal those of pairwise
+    `Fraction` means drawn with the same edge picks. Stops once max - min is
+    within twice the tolerance; exceeding the round budget raises with the
+    partial state attached.
     """
     _check_values(t, values)
     _require_connected(t, "gossip")
@@ -255,7 +275,7 @@ def gossip_avg(
     budget = algo.rounds_budget(t)
     goal = 2 * algo.gossip_tolerance
     goal_den = goal.denominator
-    limit = goal.numerator  # times den, doubling with it, so the stop test stays integer
+    limit = goal.numerator  # times den, shifted with it, so the stop test stays integer
     edges = t.edges
     at = {v: k for k, v in enumerate(vertices)}
     pairs = [(at[i], at[j]) for i, j in edges]
@@ -264,17 +284,13 @@ def gossip_avg(
     spreads: list[int] = []
     dens: list[int] = []
     starts: list[int] = []
-    last = -1  # the last run's spread over den, doubling with it; -1 before the first run
+    last = -1  # the last run's spread over den, shifted with it; -1 before the first run
     rounds = 0
+    n = t.n
+    due = n  # the round after which the sum is next checked
     hi, lo = max(nums), min(nums)
     spread = hi - lo
-    while spread * goal_den > limit:  # spread / den > goal
-        if rounds >= budget:
-            raise ConvergenceError(
-                f"gossip spread still {_ratio_text(spread, den)} after {rounds} rounds",
-                values={i: Fraction(v, den) for i, v in zip(vertices, nums)},
-                rounds=rounds,
-            )
+    while spread * goal_den > limit and rounds < budget:  # spread / den > goal
         k = draw(m)
         a, b = pairs[k]
         x, y = nums[a], nums[b]
@@ -283,17 +299,15 @@ def gossip_avg(
         moved_hi = x == hi or y == hi
         moved_lo = x == lo or y == lo
         if pair & 1:
-            nums = [v << 1 for v in nums]
-            pair <<= 1
-            total <<= 1
-            den <<= 1
-            limit <<= 1
-            hi <<= 1
-            lo <<= 1
-            last <<= 1
+            nums = [v << _STRIDE for v in nums]
+            pair <<= _STRIDE
+            total <<= _STRIDE
+            den <<= _STRIDE
+            limit <<= _STRIDE
+            hi <<= _STRIDE
+            lo <<= _STRIDE
+            last <<= _STRIDE
         nums[a] = nums[b] = pair >> 1
-        if sum(nums) != total:
-            raise InvariantError(f"gossip lost the sum in round {rounds + 1}")
         if on_exchange is not None:
             i, j = edges[k]
             on_exchange(i, j, Fraction(pair >> 1, den))
@@ -308,6 +322,17 @@ def gossip_avg(
             starts.append(rounds)
             last = spread
         rounds += 1
+        if rounds == due:
+            _require_sum(nums, total, due - n + 1, rounds)
+            due += n
+    if rounds > due - n:
+        _require_sum(nums, total, due - n + 1, rounds)
+    if spread * goal_den > limit:
+        raise ConvergenceError(
+            f"gossip spread still {_ratio_text(spread, den)} after {rounds} rounds",
+            values={i: Fraction(v, den) for i, v in zip(vertices, nums)},
+            rounds=rounds,
+        )
     return ConsensusResult(
         per_agent={i: Fraction(v, den) for i, v in zip(vertices, nums)},
         rounds=rounds,
@@ -327,8 +352,8 @@ def finalize(value: Number, params: ProtocolParams) -> Fraction:
     nearest = (v + Fraction(1, 2)).__floor__()
     if abs(v - nearest) >= Fraction(1, 4):
         raise RoundingError(
-            f"estimate {float(v):.6f} is {float(abs(v - nearest)):.3f} from the nearest "
-            "integer; refusing to round"
+            f"estimate {_ratio_text(v.numerator, v.denominator, '.6f')} is "
+            f"{float(abs(v - nearest)):.3f} from the nearest integer; refusing to round"
         )
     return Fraction(nearest % params.p.value, params.n)
 

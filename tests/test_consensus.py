@@ -4,18 +4,24 @@ Flooding runs inside the event simulator, so its tests drive `simulate`.
 """
 from __future__ import annotations
 
+import hashlib
 import random
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
+import privavg.consensus
 from privavg.consensus import (
     ConsensusAlgo,
     ConvergenceError,
+    InvariantError,
     RoundingError,
+    _ratio_text,
+    _require_sum,
     finalize,
     gossip_avg,
+    spread_texts,
 )
 from privavg.masking import ProtocolParams
 from privavg.residues import Modulus, SeededRng
@@ -123,6 +129,63 @@ def test_gossip_out_of_rounds_names_a_spread_past_the_float_range():
     assert Decimal(str(info.value).split()[3]) > 0
 
 
+def test_gossip_sum_guard_names_the_rounds_since_the_last_check():
+    _require_sum([4, -1, 9], 12, 7, 12)
+    with pytest.raises(InvariantError, match=r"^gossip lost the sum in rounds 7 to 12$"):
+        _require_sum([4, -1, 9], 13, 7, 12)
+
+
+def test_gossip_checks_the_sum_at_least_every_n_rounds(monkeypatch):
+    # the checked spans tile rounds 1..rounds, none longer than n, the last
+    # ending after the last round, also when the budget runs out mid-span
+    spans = []
+
+    def record(nums, total, first, last):
+        assert sum(nums) == total
+        spans.append((first, last))
+
+    monkeypatch.setattr(privavg.consensus, "_require_sum", record)
+    rnd = random.Random(4711)
+    ring = Topology(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
+    cases = [(random_connected_topology(rnd, n), None) for n in (2, 3, 5, 8)]
+    cases += [(ring, 12), (ring, 15), (path3(), 1), (triangle(), 3)]
+    for seed, (t, budget) in enumerate(cases):
+        spans.clear()
+        values = {i: rnd.randrange(100) for i in t.vertices}
+        algo = ConsensusAlgo("gossip_avg", max_rounds=budget)
+        try:
+            rounds = gossip_avg(t, values, algo, SeededRng(seed, 99)).rounds
+        except ConvergenceError as exc:
+            assert exc.rounds == budget
+            rounds = exc.rounds
+        assert rounds > 0
+        assert [first for first, _ in spans] == [1] + [last + 1 for _, last in spans[:-1]]
+        assert spans[-1][1] == rounds
+        assert all(1 <= last - first + 1 <= t.n for first, last in spans)
+    spans.clear()
+    res = gossip_avg(triangle(), {1: 7, 2: 7, 3: 7}, ConsensusAlgo("gossip_avg"), SeededRng(1, 99))
+    assert res.rounds == 0 and spans == []
+
+
+def test_gossip_long_ring_with_chords_keeps_its_pinned_trace():
+    # a 60-ring with 4 seeded chords mixes slowly: 232,712 rounds, the case
+    # that made the every-round sum check most of a run; the digest is over
+    # the trace as a report writes it and the per-agent values
+    rnd = random.Random(1)
+    edges = {(i, i % 60 + 1): None for i in range(1, 61)}
+    while len(edges) < 64:
+        edges[tuple(sorted(rnd.sample(range(1, 61), 2)))] = None
+    values = {i: rnd.randrange(10**6) for i in range(1, 61)}
+    res = gossip_avg(Topology(60, list(edges)), values, ConsensusAlgo("gossip_avg"), SeededRng(1, 61))
+    assert res.rounds == 232_712
+    digest = hashlib.sha256()
+    for text in spread_texts(res.spread_trace):
+        digest.update(f"{text}\n".encode())
+    for i, v in res.per_agent.items():
+        digest.update(f"{i} {v}\n".encode())
+    assert digest.hexdigest() == "ed83e7f5f94af56cdc762e7fa63e93c84007435f165f239cbba4787e40ac0fd3"
+
+
 def test_algo_validation_and_budget():
     with pytest.raises(ValueError, match="variant"):
         ConsensusAlgo("median")
@@ -152,6 +215,19 @@ def test_finalize_refuses_ambiguity():
         finalize(Fraction(149, 2), PARAMS_30)  # exactly halfway
     with pytest.raises(RoundingError):
         finalize(Fraction("73.75"), PARAMS_30)
+
+
+def test_finalize_and_ratio_text_past_the_float_range():
+    tail = r" is 0\.500 from the nearest integer; refusing to round$"
+    # values that fit a float keep the float's digits
+    with pytest.raises(RoundingError, match=r"^estimate 0\.500000" + tail):
+        finalize(Fraction(1, 2), PARAMS_30)
+    # past it the float overflows; Decimal gives the digits instead
+    with pytest.raises(RoundingError, match=r"^estimate 50{399}\.000000" + tail):
+        finalize(Fraction(10**400 + 1, 2), PARAMS_30)
+    assert _ratio_text(10**400, 3) == "3.33e+399"
+    assert _ratio_text(1, 3 * 10**400) == "3.33e-401"
+    assert (_ratio_text(1, 3), _ratio_text(0, 7)) == ("0.333", "0")
 
 
 def test_finalize_strips_modulus_before_dividing():

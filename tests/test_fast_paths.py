@@ -196,6 +196,27 @@ def test_gossip_matches_fraction_gossip_when_agents_share_an_extreme():
             _assert_same_gossip(*_gossip_both(t, values, algo, k))
 
 
+def test_gossip_matches_fraction_gossip_across_many_strides():
+    # at tolerance 10^-60 the denominator passes 192 bits, three of the
+    # 64-bit strides by which gossip's shared denominator grows; budgets of
+    # half the rounds and of 333 rounds cut a run part way into a stride
+    rnd = random.Random(2718)
+    tol = Fraction(1, 10**60)
+    for trial in range(4):
+        t = random_connected_topology(rnd, rnd.randrange(5, 9))
+        values = {i: rnd.randrange(-50, 300) for i in t.vertices}
+        values[1] += (sum(values.values()) + trial) % 2  # even and odd totals in turn
+        assert sum(values.values()) % 2 == trial % 2
+        fast, slow = _gossip_both(t, values, ConsensusAlgo("gossip_avg", tol), trial)
+        _assert_same_gossip(fast, slow)
+        assert max(v.denominator for v in fast[0].per_agent.values()).bit_length() > 192
+        for budget in (fast[0].rounds // 2, 333):
+            algo = ConsensusAlgo("gossip_avg", tol, max_rounds=budget)
+            cut, cut_slow = _gossip_both(t, values, algo, trial)
+            assert isinstance(cut_slow[0], ConvergenceError)
+            _assert_same_gossip(cut, cut_slow)
+
+
 def test_gossip_refuses_values_that_are_not_whole_numbers():
     t = Topology(4, [(1, 2), (2, 3), (3, 4)])
     algo = ConsensusAlgo("gossip_avg")
