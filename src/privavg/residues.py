@@ -7,6 +7,7 @@ uniform, with no modulo bias.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
@@ -124,8 +125,10 @@ class SeededRng:
     out-of-range words, so every residue is exactly equally likely.
 
     Scalar draws take words from a buffer refilled `BLOCK` words at a time;
-    `random_raw(k)` yields the same words as k single calls, and bulk draws
-    use up the buffer first, so every draw still reads the stream in order.
+    `random_raw(k)` yields the same words as k single calls. Bulk draws use
+    up the buffer first, then read the rest in one call and step the
+    generator back over the words they did not use, so every draw still
+    reads the stream in order and leaves it where single draws would.
     """
 
     def __init__(self, seed: int, stream: Union[int, tuple] = 0):
@@ -136,7 +139,8 @@ class SeededRng:
         key = (stream,) if isinstance(stream, int) else tuple(stream)
         self.seed = seed
         self.stream = key if len(key) != 1 else key[0]
-        self._raw = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)).random_raw
+        self._bitgen = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key))
+        self._raw = self._bitgen.random_raw
         self._words: list[int] = []  # buffered words, the next one last
 
     def randint_below(self, n: int) -> int:
@@ -156,11 +160,21 @@ class SeededRng:
 
     def randints_below(self, n: int, k: int) -> np.ndarray:
         """The `k` integers that `k` calls of `randint_below(n)` would return,
-        as a uint64 array. Buffered words go first; then each round draws only
-        the shortfall, so no word past the k-th accepted one is consumed and
-        the stream stays in step."""
+        as a uint64 array, leaving the stream where those calls leave it.
+
+        Buffered words go first. The shortfall is then read in one
+        `random_raw` call sized from the acceptance rate n/(mask+1) plus four
+        standard deviations; the words past the last one accepted are given
+        back by stepping the generator back over them (PCG64 is an LCG, so
+        `advance(2**128 - m)` undoes m words exactly). A read that comes up
+        short keeps what it accepted and reads again."""
+        for name, value in (("n", n), ("k", k)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+        if k < 0:
+            raise ValueError(f"k must be non-negative, got {k}")
         mask = _range_mask(n)
-        if not mask:
+        if not mask or not k:
             return np.zeros(k, dtype=np.uint64)
         words = self._words
         head = []
@@ -170,12 +184,16 @@ class SeededRng:
                 head.append(word)
         kept = [np.array(head, dtype=np.uint64)] if head else []
         need = k - len(head)
+        accept = n / (mask + 1)
         while need:
-            drawn = self._raw(need) & np.uint64(mask)
-            drawn = drawn[drawn < np.uint64(n)]
-            kept.append(drawn)
-            need -= len(drawn)
-        return np.concatenate(kept) if kept else np.empty(0, dtype=np.uint64)
+            size = math.ceil((need + 4 * math.sqrt(need * (1 - accept))) / accept)
+            drawn = self._raw(size) & np.uint64(mask)
+            hits = np.flatnonzero(drawn < np.uint64(n))[:need]
+            kept.append(drawn[hits])
+            need -= len(hits)
+            if not need and hits[-1] < size - 1:
+                self._bitgen.advance((1 << 128) - (size - 1 - int(hits[-1])))
+        return kept[0] if len(kept) == 1 else np.concatenate(kept)
 
     def randrange(self, lo: int, hi: int) -> int:
         """Uniform integer in the inclusive range [lo, hi]."""

@@ -437,14 +437,19 @@ def test_flood_smoke_at_one_hundred_agents():
     assert rep.phase2_messages > 0
 
 
-@pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 2**63 + 5, 2**64 - 1])
+@pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 2**63 + 5, 2**64 - 1, 11, 13, 17])
 def test_randints_below_matches_single_draws(n):
-    for k in (0, 1, 7, 1000):
+    # 2,000 and 3,000 words at p = 11, 13, 17 and 31 are the sampled audit's sizes
+    for k in (0, 1, 7, 1000, 2000, 3000):
         bulk_rng, single_rng = SeededRng(17, (k, 3)), SeededRng(17, (k, 3))
         bulk = bulk_rng.randints_below(n, k)
         assert bulk.dtype == np.uint64 and bulk.shape == (k,)
         assert bulk.tolist() == [single_rng.randint_below(n) for _ in range(k)]
         # the bulk call left the stream exactly where k single draws leave it
+        assert bulk_rng.randint_below(2**64 - 1) == single_rng.randint_below(2**64 - 1)
+        # and a second bulk draw, which reads past the scalar buffer, follows on
+        again = bulk_rng.randints_below(n, k + BLOCK).tolist()
+        assert again == [single_rng.randint_below(n) for _ in range(k + BLOCK)]
         assert bulk_rng.randint_below(2**64 - 1) == single_rng.randint_below(2**64 - 1)
 
 
@@ -487,6 +492,26 @@ def test_buffered_draws_match_one_word_per_try():
         both(2**63 + 5)
         assert got == want
         assert words.words > 8 * BLOCK
+
+
+def test_randints_below_reads_again_after_a_short_read():
+    # at n = 2^63 + 1 half the words are rejected, so a first read sized for k
+    # comes up short now and then; the words and the stream must not notice
+    n, short = 2**63 + 1, 0
+    for seed in range(400):
+        for k in (1, 2, 3, 4):
+            rng, words = SeededRng(seed, k), _CountingWords(seed, k)
+            sizes = []
+
+            def raw(size, read=rng._raw):
+                sizes.append(size)
+                return read(size)
+
+            rng._raw = raw
+            assert rng.randints_below(n, k).tolist() == [reference_randint_below(words, n) for _ in range(k)]
+            short += len(sizes) > 1
+            assert rng.randint_below(n) == reference_randint_below(words, n)
+    assert short > 0
 
 
 def test_init_shares_matches_single_draws_with_partial_override():
@@ -678,8 +703,9 @@ def _by_value(marginals):
     return [{v: c for (v,), c in h.items()} for h in marginals]
 
 
-@pytest.mark.parametrize("p", [2, 30, 2**64 - 59])
+@pytest.mark.parametrize("p", [2, 30, 401, 2**64 - 59])
 def test_marginal_bins_match_the_per_key_counters(p):
+    # 300 samples: p = 2 and 30 are counted in one table, 401 and 2^64 - 59 sorted
     rnd = random.Random(p % 997)
     for t, members in _view_key_cases():
         s = tuple(rnd.randrange(p) for _ in range(t.n))

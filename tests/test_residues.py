@@ -169,3 +169,20 @@ def test_uniform_residue_covers_power_of_two_modulus():
     p = Modulus(4)
     seen = {r.randint_below(p.value) for _ in range(400)}
     assert seen == {0, 1, 2, 3}
+
+
+def test_randints_below_checks_its_arguments_before_reading():
+    r = SeededRng(1, 2)
+    for n, k, error, message in [
+        (5, -1, ValueError, "^k must be non-negative, got -1$"),
+        (5, 2.0, TypeError, "^k must be an int, got float$"),
+        (5, True, TypeError, "^k must be an int, got bool$"),
+        (5.0, 2, TypeError, "^n must be an int, got float$"),
+        (False, 2, TypeError, "^n must be an int, got bool$"),
+        (0, 2, ValueError, "0 < n < 2\\*\\*64, got 0$"),
+        (2**64, 2, ValueError, f"0 < n < 2\\*\\*64, got {2**64}$"),
+    ]:
+        with pytest.raises(error, match=message):
+            r.randints_below(n, k)  # type: ignore[arg-type]
+    # nothing was read: the stream still starts where a fresh one does
+    assert r.randints_below(5, 3).tolist() == SeededRng(1, 2).randints_below(5, 3).tolist()
