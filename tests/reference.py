@@ -8,9 +8,12 @@ pending event, queued as the frozen `SimEvent` with a `PhaseDoneMsg` or
 `reference_randint_below` reads one raw word per try, as `SeededRng` did
 before it buffered words. `reference_share_values` and
 `reference_sample_view_keys` draw one share per `randint_below` call, as
-`init_shares` and the sampled audit did before they drew in bulk. `reference_enumerate_views` builds each chunk's view
-rows by an incidence-matrix product (`reference_view_rows`), counts them with
-`np.unique(axis=0)` and merges them one row at a time, and
+`init_shares` and the sampled audit did before they drew in bulk.
+`reference_enumerate_views` walks the edge-difference vectors as the digit
+rows of an arange (`reference_b_chunks`), builds each chunk's view rows by an
+incidence-matrix product (`reference_view_rows`), counts them with
+`np.unique(axis=0)` and merges them one row at a time, as enumeration did
+before it worked on one grid, and
 `reference_marginal_bins` and `reference_full_view_bins` bin sampled view
 keys one key at a time, as the audits did before they worked on
 mixed-radix codes and columns, and `reference_two_sample_chi_square` builds
@@ -27,11 +30,11 @@ import heapq
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from privavg.audit import Histogram, _b_chunks, _count_rows, _row_tuples, _space_size, chi2_contingency
+from privavg.audit import Histogram, _count_rows, _digits, _row_tuples, _space_size, chi2_contingency
 from privavg.consensus import ConsensusAlgo, ConsensusResult, ConvergenceError, finalize
 from privavg.masking import (
     MaskShareMsg,
@@ -354,16 +357,24 @@ def histogram_from_counts(counts: Mapping[tuple, int], p: int, width: int) -> Hi
     return Histogram(*_count_rows(np.repeat(rows, repeats, axis=0), p), p, width)
 
 
+def reference_b_chunks(num_edges: int, p: int, total: int, chunk: int = 1 << 15) -> Iterator[np.ndarray]:
+    """Every edge-difference vector, as the base-p digit rows of 0..total-1
+    (edge k is digit k, least significant first), `chunk` rows at a time."""
+    for start in range(0, total, chunk):
+        yield _digits(np.arange(start, min(start + chunk, total), dtype=np.int64), p, num_edges)
+
+
 def reference_enumerate_views(
     t: Topology, p: int, s: Sequence[int], cols: list[int], budget: int
 ) -> Histogram:
-    """Histogram of view rows: each chunk's unique rows by a row sort, added to
-    a dict one row at a time, which becomes a `Histogram` at the end; rows of
-    Python ints skip the sort."""
+    """Histogram of view rows: the edge-difference vectors walked as digit rows
+    of an arange (`reference_b_chunks`), each chunk's unique rows by a row
+    sort, added to a dict one row at a time, which becomes a `Histogram` at
+    the end; rows of Python ints skip the sort."""
     total = _space_size(t, p, budget)
     inc = incidence_matrix(t)
     counts: dict[tuple, int] = {}
-    for block in _b_chunks(len(t.edges), p, total):
+    for block in reference_b_chunks(len(t.edges), p, total):
         rows = reference_view_rows(inc, p, s, cols, block)
         if rows.dtype == object:  # np.unique cannot sort rows of Python ints
             uniq, cnt = rows, np.ones(len(rows), dtype=np.int64)

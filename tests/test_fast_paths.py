@@ -26,6 +26,7 @@ from privavg.audit import (
     enumerate_view_distribution,
     histogram_csv,
 )
+import privavg.audit
 import privavg.cli
 import privavg.consensus
 from privavg.cli import parse_config, run_experiment
@@ -689,6 +690,68 @@ def test_enumeration_past_int64_codes_counts_rows_as_tuples():
         fast, slow = _views_both(t, p, members, (3, 40008, 0, 5, 1))
         assert fast == slow
         assert fast.total == p and len(fast.counts) == p
+
+
+def _chunk_rows(monkeypatch) -> list[int]:
+    # the rows of each chunk that enumeration counts and merges, in order
+    rows = []
+    merge = privavg.audit._merge_counts
+    monkeypatch.setattr(
+        privavg.audit, "_merge_counts", lambda *args: rows.append(int(args[3].sum())) or merge(*args)
+    )
+    return rows
+
+
+def _check_chunks(rows: list[int], total: int, chunk: int) -> None:
+    # every chunk but the last holds at least `chunk` rows and none twice that
+    # (a grid of at most `chunk` rows, repeated up to the first multiple past
+    # `chunk`), so there are at most ceil(total / chunk) counts
+    assert sum(rows) == total
+    assert all(chunk <= r for r in rows[:-1]) and all(0 < r < 2 * chunk for r in rows)
+    assert len(rows) <= -(-total // chunk)
+
+
+@pytest.mark.parametrize(
+    "t, p, s",
+    [
+        (Topology(2, [(1, 2)]), 40009, (5, 20000)),  # p past 2^15: blocks of one edge's digits
+        (Topology(5, list(itertools.combinations(range(1, 6), 2))), 3, (0, 2, 1, 1, 0)),  # 3^9 grid
+    ],
+)
+def test_enumeration_counts_each_chunk_of_rows_once(monkeypatch, t, p, s):
+    # at most ceil(p^|E| / 2^15) counts, so no count (or loop step) per outer
+    # assignment: the 3^10 case has three of them and takes two chunks
+    rows = _chunk_rows(monkeypatch)
+    for members in [(), (1,)]:
+        rows.clear()
+        hist = enumerate_view_distribution(t, p, AdversarySpec(members), s)
+        _check_chunks(rows, p ** len(t.edges), 2**15)
+        assert len(rows) == 2 and hist.total == p ** len(t.edges)
+
+
+@pytest.mark.parametrize("chunk", [4, 8, 10, 30])
+def test_enumeration_matches_row_sort_with_small_chunks(monkeypatch, chunk):
+    # A small chunk reaches what only spaces past 2^15 rows reach at full
+    # size: chunks that straddle two assignments of the outer edges before the
+    # last, several outer edges, and, once p exceeds the chunk, a grid that is
+    # a block of one edge's digits. Codes past 2^63 (40 vertices) ride along.
+    monkeypatch.setattr(privavg.audit, "_CHUNK", chunk)
+    rows = _chunk_rows(monkeypatch)
+    k4 = Topology(4, list(itertools.combinations(range(1, 5), 2)))
+    ring = Topology(4, [(1, 2), (2, 3), (3, 4), (1, 4), (1, 3)])
+    wide = Topology(40, [(1, 2), (2, 3), (3, 4)])
+    cases = [
+        (k4, 3, (0, 1, 2, 2)),
+        (path3(), 11, (3, 0, 10)),
+        (ring, 5, (4, 0, 1, 3)),
+        (wide, 3, (2, 0, 1, 1) + (0,) * 36),
+    ]
+    for t, p, s in cases:
+        for members in [(), (1,), (2,)]:
+            rows.clear()
+            fast, slow = _views_both(t, p, members, s)
+            assert fast == slow
+            _check_chunks(rows, p ** len(t.edges), chunk)
 
 
 def test_enumeration_refuses_spaces_int64_codes_cannot_index():
