@@ -4,29 +4,24 @@ The protocol's privacy claims are exact distribution identities, so the
 preferred check is to enumerate every edge-difference assignment and compare
 histograms outcome by outcome. Mask vectors are the incidence matrix applied
 to the difference vector, which is why enumeration can run over Z_p^|E|
-instead of the quadratically larger raw share space. Enumeration builds one
-grid: the unreduced view columns (incidence sums B·bᵀ and the coalition's
-differences) over every digit of the last edges, as many as keep it within
-2^15 rows, each edge's digits on an axis of its own, so no digit rows and no
-integer division are needed. Every assignment of the remaining edges adds a
-constant per column; a chunk of at least 2^15 rows is one add, mod and
-multiply-add per column into mixed-radix codes (a Python int once p^width
-reaches 2^63, else int64), counted with one 1-D sort and merged into a
-running sorted (code, count) pair, so memory follows the support, not
-p^|E|, and the Python loop steps only over assignments of the outer edges.
-The resulting `Histogram` is a mapping from outcome tuple to count that
-keeps the sorted (code, count) arrays: verdicts and histogram.csv compare,
-count and format on them, and outcome tuples are decoded only when a caller
-reads it as a mapping. Sampled views are counted into `Histogram`s on the
-same codes: each agent's shares come from one bulk draw, the edge
-differences from one gather over all of them, and the marginals from one
-bincount while p is at most the sample count (one sort per column past
-that). The default budget (10^7 rows, e.g. a 6-vertex graph with 10 edges
-at p = 5) takes about 0.25 s for the masks and 0.45 s for one coalition
-vertex's views on a shared 2-core Intel Xeon box (Python 3.11, numpy 2.4).
-When the space is too big, a seeded two-sample chi-square over binned
-coalition views stands in; negative controls (coalitions that cut the graph)
-must visibly leak there.
+instead of the quadratically larger raw share space. Every audit counts
+views the same way: `_encode` folds the view columns, reduced mod p, into
+mixed-radix codes (int64 while p^width < 2^63, Python ints past that), and
+`_count` tallies the distinct codes in sorted order, by one bincount while
+the code space is no larger than the number of codes and by one sort past
+that. Enumeration (see _enumerate_views) adds a constant per column to one
+precomputed grid of unreduced view columns, and encodes, counts and merges
+each chunk of at least 2^15 rows, so memory follows the support, not p^|E|.
+A `Histogram` keeps the sorted (code, count) arrays: verdicts and
+histogram.csv compare, count and format on them, and digit rows and outcome
+tuples are decoded once, on first use. Sampled audits encode and count whole
+views, or count each marginal (the honest sum, then each incident
+difference) as a one-digit code. The default budget (10^7 rows, e.g. a
+6-vertex graph with 10 edges at p = 5) takes about 0.12 s for the masks and
+0.21 s for one coalition vertex's views on a shared 2-core Intel Xeon box
+(min of 3; Python 3.11, numpy 2.4). When the space is too big, a seeded
+two-sample chi-square over binned coalition views stands in; negative
+controls (coalitions that cut the graph) must visibly leak there.
 """
 from __future__ import annotations
 
@@ -65,18 +60,14 @@ class EnumerationBudgetError(ValueError):
 class Histogram(Mapping):
     """Outcome tuple -> count, read-only, held as sorted, duplicate-free
     mixed-radix codes (base p, `width` digits, first digit most significant;
-    see _count_rows) with a parallel `tallies` array. The tuples are decoded
-    on first iteration or lookup; len(), `total`, `rows()` and equality with
-    a histogram of the same p and width read the arrays."""
+    see _encode) with a parallel `tallies` array. The digit rows and the
+    tuples are each decoded once, on first use; len(), `total` and equality
+    with a histogram of the same p and width read the arrays."""
 
     def __init__(self, codes: np.ndarray, tallies: np.ndarray, p: int, width: int) -> None:
         self.codes, self.tallies, self.p, self.width = codes, tallies, p, width
+        self._rows: Optional[np.ndarray] = None
         self._decoded: Optional[dict[tuple, int]] = None
-
-    @classmethod
-    def from_rows(cls, rows: np.ndarray, p: int) -> Histogram:
-        # the distinct rows of residues mod p, counted (see _count_rows)
-        return cls(*_count_rows(rows, p), p, rows.shape[1])
 
     @property
     def counts(self) -> Histogram:
@@ -88,8 +79,11 @@ class Histogram(Mapping):
         return int(self.tallies.sum())
 
     def rows(self) -> np.ndarray:
-        # the outcomes as digit rows, most significant digit first
-        return _digits(self.codes, self.p, self.width)[:, ::-1]
+        # the outcomes as read-only digit rows, most significant digit first
+        if self._rows is None:
+            self._rows = _digits(self.codes, self.p, self.width)[:, ::-1]
+            self._rows.flags.writeable = False
+        return self._rows
 
     def _decode(self) -> dict[tuple, int]:
         if self._decoded is None:
@@ -177,18 +171,24 @@ def _check_inputs(t: Topology, p: int, s: Sequence[int], name: str) -> tuple[int
 
 
 def _space_size(t: Topology, p: int, budget: int) -> int:
-    total = p ** len(t.edges)
-    if total > budget:
+    # p^|E|, refused past the budget or 2^63; as p >= 2, |E| >= the budget's
+    # bit length is past the budget, and there p^|E| is never built
+    m = len(t.edges)
+    total = p**m if m < budget.bit_length() else None
+    if total is not None and total <= budget and total < 2**63:
+        return total
+    from .consensus import number_text, short_text  # only a refusal writes the count
+
+    size = f"{p}^{m}" if total is None else short_text(number_text(total))
+    if total is None or total > budget:
         raise EnumerationBudgetError(
-            f"enumeration needs {total} b-vectors (> budget {budget}); "
+            f"enumeration needs {size} b-vectors (> budget {budget}); "
             "use sampled_view_test instead"
         )
-    if total >= 2**63:
-        raise EnumerationBudgetError(
-            f"enumeration needs {total} b-vectors, past the 2^63 that int64 "
-            "chunk codes can index; use sampled_view_test instead"
-        )
-    return total
+    raise EnumerationBudgetError(
+        f"enumeration needs {size} b-vectors, past the 2^63 that int64 "
+        "chunk codes can index; use sampled_view_test instead"
+    )
 
 
 def _digits(codes: np.ndarray, p: int, width: int) -> np.ndarray:
@@ -215,23 +215,6 @@ def _view_columns(t: Topology, s: Sequence, cols: list[int], b: Sequence) -> lis
     return sums + [b[k] for k in cols]
 
 
-def _view_rows(t: Topology, p: int, s: Sequence[int], cols: list[int], b: np.ndarray) -> np.ndarray:
-    """Coalition views, one row per row of edge differences `b`: the effective
-    inputs (s + b·Bᵀ) mod p, then the coalition's columns of b, as a
-    Fortran-ordered view of one contiguous array per view column.
-
-    Entries stay below p·(|E|+1) in absolute value before the reduction, so
-    int64 holds them exactly below that bound; past it (p near 2^64) the rows
-    are Python ints."""
-    dtype = np.int64 if p * (len(t.edges) + 1) < 2**63 else object
-    b = np.ascontiguousarray(b.T, dtype=dtype)  # one row per edge
-    columns = np.empty((t.n + len(cols), b.shape[1]), dtype=dtype)
-    for c, column in enumerate(_view_columns(t, s, cols, b)):
-        columns[c] = column
-    columns[: t.n] %= p
-    return columns.T
-
-
 def _row_tuples(rows: np.ndarray) -> Iterator[tuple[int, ...]]:
     # Rows as tuples of Python ints, zipped from one list per column. One list
     # per row (rows.tolist()) would hold up to 3·10^4 live lists at once; they
@@ -240,13 +223,25 @@ def _row_tuples(rows: np.ndarray) -> Iterator[tuple[int, ...]]:
     return zip(*rows.T.tolist())
 
 
-def _count_rows(rows: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of residues mod p as sorted mixed-radix codes, with counts.
-    The first column is the most significant digit, so codes sort as the row
-    tuples do; they are int64 while p^width < 2^63, Python ints past that."""
-    codes = np.zeros(len(rows), dtype=np.int64 if p ** rows.shape[1] < 2**63 else object)
-    for k in range(rows.shape[1]):
-        codes = codes * p + rows[:, k]
+def _encode(columns: Sequence, p: int, shape: tuple[int, ...]) -> np.ndarray:
+    """Mixed-radix codes of views whose columns broadcast to `shape`: each column
+    reduced mod p and folded in by Horner, the first most significant, so codes
+    sort as outcome tuples do; int64 while p^width < 2^63, else Python ints."""
+    codes = np.zeros(shape, dtype=np.int64 if p ** len(columns) < 2**63 else object)
+    for column in columns:
+        codes *= p
+        codes += column % p
+    return codes
+
+
+def _count(codes: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct entries of a 1-D array of codes in [0, space), with
+    their tallies: by one bincount while the space, the bincount's table, is
+    no larger than the array (so the codes fit int64), else by a sort."""
+    if space <= len(codes):
+        tallies = np.bincount(codes.astype(np.int64, copy=False), minlength=space)
+        seen = np.flatnonzero(tallies)
+        return seen, tallies[seen]
     return np.unique(codes, return_counts=True)
 
 
@@ -310,11 +305,9 @@ def _enumerate_views(t: Topology, p: int, s: Sequence[int], cols: list[int], bud
     Each assignment of the other, outer edges adds one constant per column.
     A chunk takes ceil(2^15 / p^inner) consecutive outer assignments, so
     every chunk but the last has at least 2^15 rows, with the last outer
-    edge's digits on a leading axis. Per column, grid plus constants is
-    reduced mod p and scaled to its mixed-radix digit on the column's own
-    broadcast shape, then added into the chunk's codes, which are counted
-    once and merged. Codes, and every array here, are int64 while
-    p^width < 2^63 and Python ints past that."""
+    edge's digits on a leading axis. The chunk's columns, grid plus
+    constants, each on its own broadcast shape, are encoded (see _encode),
+    counted once (see _count) and merged."""
     _space_size(t, p, budget)
     m, width = len(t.edges), t.n + len(cols)
     dtype = np.int64 if p**width < 2**63 else object
@@ -322,7 +315,6 @@ def _enumerate_views(t: Topology, p: int, s: Sequence[int], cols: list[int], bud
     outer = m - inner
     digits, shape = _grid_digits(p, inner, dtype)
     grid = _view_columns(t, [0] * t.n, cols, [0] * outer + digits)
-    weights = [p ** (width - 1 - c) for c in range(width)]
     codes, counts = np.empty(0, dtype=dtype), np.empty(0, dtype=np.int64)
     for chunk in _chunk_segments(p, outer, -(-_CHUNK // p**inner)):
         parts = []
@@ -330,12 +322,10 @@ def _enumerate_views(t: Topology, p: int, s: Sequence[int], cols: list[int], bud
             run = np.arange(lo, hi, dtype=dtype).reshape((hi - lo,) + (1,) * len(shape))
             outer_digits = [*high, run] if outer else []
             shift = _view_columns(t, s, cols, outer_digits + [0] * inner)
-            part = np.zeros((hi - lo,) + shape, dtype=dtype)
-            for column, offset, weight in zip(grid, shift, weights):
-                part += (column + offset) % p * weight
-            parts.append(part.reshape(-1))
+            columns = [column + offset for column, offset in zip(grid, shift)]
+            parts.append(_encode(columns, p, (hi - lo,) + shape).reshape(-1))
         more = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        codes, counts = _merge_counts(codes, counts, *np.unique(more, return_counts=True))
+        codes, counts = _merge_counts(codes, counts, *_count(more, p**width))
     return Histogram(codes, counts, p, width)
 
 
@@ -371,7 +361,7 @@ def _coset_uniformity_verdict(
     expected_support = pv ** (t.n - 1)
     passed = (
         len(hist) == expected_support
-        and np.unique(hist.tallies).tolist() == [pv ** (len(t.edges) - t.n + 1)]
+        and bool((hist.tallies == pv ** (len(t.edges) - t.n + 1)).all())
         and bool((hist.rows().sum(axis=1) % pv == target).all())
     )
     return AuditVerdict(
@@ -544,19 +534,21 @@ def check_group_privacy(
         return replace(sub, claim="group-privacy", details={**sub.details, **base_details})
 
 
-def _sample_view_rows(
+def _sample_view_columns(
     t: Topology,
     p: int,
     s: tuple[int, ...],
     coalition_edge_idx: list[int],
     rngs: Mapping[int, SeededRng],
     samples: int,
-) -> np.ndarray:
+) -> list[np.ndarray]:
     # Each agent's stream yields `samples` rounds of one share per neighbor in
     # ascending id order, the order init_shares draws in, without the
     # protocol-bound validation, which audit scenarios may legitimately violate.
     # The blocks sit side by side, one column per sent share; each edge's
     # received and sent columns are gathered at once and differenced mod p.
+    # Returns the unreduced view columns, one entry per sample: they stay below
+    # p·(|E|+1) in absolute value, so int64 holds them exactly below 2^63.
     blocks, column = [], {}
     for i in t.vertices:
         nbrs = sorted(t.neighbors(i))
@@ -567,32 +559,18 @@ def _sample_view_rows(
     out = sent[:, [column[(i, j)] for i, j in t.edges]]
     b = got - out  # wraps mod 2^64 where got < out; adding p unwraps
     b += (got < out) * np.uint64(p)
-    return _view_rows(t, p, s, coalition_edge_idx, b)
+    dtype = np.int64 if p * (len(t.edges) + 1) < 2**63 else object
+    b = np.ascontiguousarray(b.T, dtype=dtype)  # one row per edge
+    return _view_columns(t, [np.full(samples, v, dtype=dtype) for v in s], coalition_edge_idx, b)
 
 
-def _marginal_bins(rows: np.ndarray, p: int, honest: list[int], num_cols: int) -> list[Histogram]:
-    """Counts of the honest-sum marginal (sum of the honest agents' effective
-    inputs mod p), then of each incident-difference column, over view rows.
-
-    While p is at most the number of rows, a dense table of p counts per
-    column is no larger than the data: column m is offset by m·p and every
-    column is counted by one bincount. Past that, each column is sorted and
-    counted on its own (see _count_rows)."""
-    n = rows.shape[1] - num_cols
-    total = rows[:, [i - 1 for i in honest]]
-    if p * len(honest) >= 2**63:  # the int64 sum could overflow
-        total = total.astype(object)
-    total = total.sum(axis=1) % p
-    if p > len(rows):
-        columns = [total] + [rows[:, n + m] for m in range(num_cols)]
-        return [Histogram.from_rows(column[:, None], p) for column in columns]
-    values = np.empty((len(rows), 1 + num_cols), dtype=np.int64)
-    values[:, 0] = total
-    values[:, 1:] = rows[:, n:]
-    values += np.arange(0, (1 + num_cols) * p, p)
-    counts = np.bincount(values.ravel(), minlength=(1 + num_cols) * p).reshape(1 + num_cols, p)
-    codes = [np.flatnonzero(row) for row in counts]
-    return [Histogram(c, row[c], p, 1) for c, row in zip(codes, counts)]
+def _marginal_bins(columns: list[np.ndarray], p: int, honest: list[int], num_cols: int) -> list[Histogram]:
+    """Counts of the honest-sum marginal (the honest agents' effective inputs,
+    each reduced mod p, summed mod p), then of each of the last `num_cols`
+    view columns, the incident differences, each a one-digit code."""
+    dtype = np.int64 if p * len(honest) < 2**63 else object  # the int64 sum could overflow
+    total = sum((columns[i - 1] % p).astype(dtype, copy=False) for i in honest) % p
+    return [Histogram(*_count(c, p), p, 1) for c in [total, *columns[len(columns) - num_cols :]]]
 
 
 def chi2_contingency(table: np.ndarray) -> tuple[float, float, np.ndarray]:
@@ -671,12 +649,13 @@ def sampled_view_test(
         )
     cols = _coalition_edges(t, members)
 
-    rows_per_vector = [
-        _sample_view_rows(t, pv, vec, cols, {i: SeededRng(seed, (idx, i)) for i in t.vertices}, samples)
+    views = [
+        _sample_view_columns(t, pv, vec, cols, {i: SeededRng(seed, (idx, i)) for i in t.vertices}, samples)
         for idx, vec in enumerate((sv, sw))
     ]
 
-    space_estimate = min(pv ** len(t.edges), pv ** (t.n - 1 + len(cols)))
+    # p^k estimates the outcome space; k >= the limit's bit length is past it
+    exponent = min(len(t.edges), t.n - 1 + len(cols))
     cut = _cuts_group(t, members, honest)
     details: dict = {
         "p": pv,
@@ -686,13 +665,14 @@ def sampled_view_test(
         "claim_applies": not cut,
     }
 
-    if space_estimate <= _FULL_BIN_LIMIT:
-        stat, pvalue = _two_sample_chi_square(*(Histogram.from_rows(r, pv) for r in rows_per_vector))
+    if exponent < _FULL_BIN_LIMIT.bit_length() and pv**exponent <= _FULL_BIN_LIMIT:
+        width = t.n + len(cols)
+        hists = (Histogram(*_count(_encode(v, pv, (samples,)), pv**width), pv, width) for v in views)
+        stat, adjusted = _two_sample_chi_square(*hists)
         details["binning"] = "full_view"
-        adjusted = pvalue
     else:
         # marginal fallback: the honest-sum coordinate plus each incident edge
-        bins_a, bins_b = (_marginal_bins(r, pv, sorted(honest), len(cols)) for r in rows_per_vector)
+        bins_a, bins_b = (_marginal_bins(v, pv, sorted(honest), len(cols)) for v in views)
         marginal_stats, marginal_ps = zip(*map(_two_sample_chi_square, bins_a, bins_b))
         worst = int(np.argmin(marginal_ps))
         stat = marginal_stats[worst]

@@ -14,15 +14,17 @@ rows of an arange (`reference_b_chunks`), builds each chunk's view rows by an
 incidence-matrix product (`reference_view_rows`), counts them with
 `np.unique(axis=0)` and merges them one row at a time, as enumeration did
 before it worked on one grid, and
-`reference_marginal_bins` and `reference_full_view_bins` bin sampled view
-keys one key at a time, as the audits did before they worked on
-mixed-radix codes and columns, and `reference_two_sample_chi_square` builds
-its table from those dicts one outcome at a time, as the sampled audit did
-before it aligned two `Histogram`s' code arrays; `reference_histogram_csv` formats
-`histogram.csv` from decoded, re-sorted outcome tuples. The fast paths in
+`reference_marginal_bins` bins sampled view keys one key at a time, as the
+audits did before they worked on mixed-radix codes and columns
+(`reference_view_keys` reads the audit's view columns as those keys), and
+`reference_two_sample_chi_square` builds its table from dicts one outcome
+at a time, as the sampled audit did before it aligned two `Histogram`s'
+code arrays; `reference_histogram_csv` formats `histogram.csv` from
+decoded, re-sorted outcome tuples. The fast paths in
 `privavg` must reproduce them byte for byte. `histogram_from_counts` turns a
-hand-made {outcome: count} dict into the `Histogram` the audits build, for
-tests that need one.
+{outcome: count} dict into the `Histogram` the audits build, its codes
+folded from the outcome tuples in plain Python, so the reference shares no
+encoder or counter with the code it checks.
 """
 from __future__ import annotations
 
@@ -34,7 +36,7 @@ from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from privavg.audit import Histogram, _count_rows, _digits, _row_tuples, _space_size, chi2_contingency
+from privavg.audit import Histogram, _digits, _row_tuples, _space_size, chi2_contingency
 from privavg.consensus import ConsensusAlgo, ConsensusResult, ConvergenceError, finalize
 from privavg.masking import (
     MaskShareMsg,
@@ -349,12 +351,20 @@ def reference_view_rows(
 
 
 def histogram_from_counts(counts: Mapping[tuple, int], p: int, width: int) -> Histogram:
-    """The `Histogram` of a hand-made {outcome: count} dict of residues mod p:
-    each outcome repeated `count` times and counted by `audit._count_rows`.
-    `width` is the outcome length, which an empty dict cannot show."""
-    rows = np.array(list(counts), dtype=np.int64 if p < 2**63 else object).reshape(len(counts), width)
-    repeats = np.array(list(counts.values()), dtype=np.int64)
-    return Histogram(*_count_rows(np.repeat(rows, repeats, axis=0), p), p, width)
+    """The `Histogram` of an {outcome: count} dict of residues mod p: each
+    outcome's digits folded base p, the first most significant, in Python
+    ints, then sorted; outcomes counted 0 times are left out. `width` is the
+    outcome length, which an empty dict cannot show."""
+    coded = []
+    for outcome, count in counts.items():
+        code = 0
+        for digit in outcome:
+            code = code * p + digit
+        if count:
+            coded.append((code, count))
+    coded.sort()
+    codes = np.array([code for code, _ in coded], dtype=np.int64 if p**width < 2**63 else object)
+    return Histogram(codes, np.array([count for _, count in coded], dtype=np.int64), p, width)
 
 
 def reference_b_chunks(num_edges: int, p: int, total: int, chunk: int = 1 << 15) -> Iterator[np.ndarray]:
@@ -385,9 +395,9 @@ def reference_enumerate_views(
     return histogram_from_counts(counts, p, t.n + len(cols))
 
 
-def reference_full_view_bins(rows: np.ndarray) -> Counter:
-    """Whole sampled view rows binned as tuples."""
-    return Counter(_row_tuples(rows))
+def reference_view_keys(columns: Sequence[np.ndarray], p: int) -> list[tuple[int, ...]]:
+    """View columns, unreduced, as one key tuple of residues mod p per entry."""
+    return list(zip(*([x % p for x in column.tolist()] for column in columns)))
 
 
 def reference_marginal_bins(

@@ -6,6 +6,7 @@ cannot hide behind the same code that produced the expected values.
 """
 import itertools
 import random
+import re
 
 import pytest
 
@@ -21,16 +22,16 @@ from privavg.audit import (
     histogram_csv,
     sampled_view_test,
     _mask_uniformity_verdict,
-    _row_tuples,
-    _sample_view_rows,
+    _sample_view_columns,
 )
+from privavg.consensus import short_text
 from privavg.masking import ProtocolParams, build_states, edge_differences, exchange_shares
 from privavg.residues import Modulus, SeededRng
 from privavg.simnet import AdversarySpec, simulate
 from privavg.topology import Topology, connected_components, incidence_rank_mod_p
 
 from conftest import path3, random_connected_topology, ten_node_three_separators, triangle
-from reference import histogram_from_counts
+from reference import histogram_from_counts, reference_view_keys
 
 
 def brute_force_masks_from_raw_shares(t, p):
@@ -351,6 +352,26 @@ def test_enumeration_budget_error_names_the_fallback():
         enumerate_mask_distribution(dense, 30)
 
 
+def test_oversized_enumeration_is_refused_by_its_exponent():
+    # K30 has 435 edges: past the budget's bit length, so p^435 is named as a
+    # power, never built (at p = 2^64-59 it has over 8,000 digits)
+    def complete(n):
+        return Topology(n, list(itertools.combinations(range(1, n + 1), 2)))
+
+    p = 2**64 - 59
+    for q in (p, 5):
+        with pytest.raises(EnumerationBudgetError, match=re.escape(f"needs {q}^435 b-vectors (> budget")):
+            enumerate_mask_distribution(complete(30), q)
+    # a count that is built is cut to one short line
+    with pytest.raises(EnumerationBudgetError, match="2\\^63") as refused:
+        enumerate_mask_distribution(complete(30), 5, budget=10**400)
+    assert f"needs {short_text(str(5**435))} b-vectors" in str(refused.value)
+    # the refusal reaches group privacy's sampled fallback on K22 (p^231)
+    s = tuple(range(22))
+    verdict = check_group_privacy(complete(22), p, AdversarySpec({1}), {2, 3}, s, s, samples=10)
+    assert verdict.method == "chi_square" and verdict.passed
+
+
 def test_group_privacy_delegates_to_sampling_past_the_budget():
     t = ten_node_three_separators()
     adv = AdversarySpec(members=frozenset({3, 5, 10}))
@@ -442,7 +463,7 @@ def test_sampler_draws_match_the_share_exchange_machinery():
 
         rngs = {i: SeededRng(seed, (vec_idx, i)) for i in t.vertices}
         cols = [k for k, (i, j) in enumerate(t.edges) if 3 in (i, j)]
-        keys = list(_row_tuples(_sample_view_rows(t, p, s, cols, rngs, samples=1)))
+        keys = reference_view_keys(_sample_view_columns(t, p, s, cols, rngs, samples=1), p)
         assert keys == [expected]
 
 

@@ -248,6 +248,23 @@ def test_audit_histogram_csv_written(tmp_path, capsys):
     assert (out_dir / "verdict.txt").read_text().startswith("audit v1")
 
 
+def test_mask_uniformity_job_decodes_its_histogram_once(tmp_path, capsys, monkeypatch):
+    # the verdict's coset check and histogram.csv read the same digit rows
+    import privavg.audit as audit
+
+    calls, digits = [], audit._digits
+    monkeypatch.setattr(audit, "_digits", lambda *a: calls.append(a[2]) or digits(*a))
+    cfg = tmp_path / "pass.cfg"
+    cfg.write_text(
+        "[experiment]\np = 5\n\n[topology]\nn = 4\nedges = 1,2 2,3 3,4 1,4\n\n"
+        "[audit]\nclaim = mask-uniformity\n"
+    )
+    assert main(["audit", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert "passed yes" in capsys.readouterr().out
+    assert calls == [4]
+    assert len((tmp_path / "out" / "histogram.csv").read_text().splitlines()) == 1 + 5**3
+
+
 def test_sampled_claim_through_cli(tmp_path, capsys):
     cfg = tmp_path / "sampled.cfg"
     cfg.write_text(
@@ -411,6 +428,22 @@ def test_budget_past_int64_codes_exits_one_naming_size(tmp_path, capsys):
     assert len(err) == 1
     assert err[0].startswith(f"error: enumeration needs {p} b-vectors")
     assert "2^63" in err[0]
+
+
+def test_oversized_enumeration_exits_one_naming_its_size_as_a_power(tmp_path, capsys):
+    # K30 at p = 2^64-59: p^435 has over 8,000 digits and is never built
+    p = 2**64 - 59
+    edges = " ".join(f"{i},{j}" for i in range(1, 31) for j in range(i + 1, 31))
+    cfg = tmp_path / "k30.cfg"
+    cfg.write_text(
+        f"[experiment]\np = {p}\n\n[topology]\nn = 30\nedges = {edges}\n\n[audit]\nclaim = mask-uniformity\n"
+    )
+    assert main(["audit", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: enumeration needs {p}^435 b-vectors (> budget 10000000); use sampled_view_test instead"
+    ]
 
 
 GROUP_CFG = """\

@@ -14,12 +14,13 @@ from privavg.audit import (
     EnumerationBudgetError,
     Histogram,
     _coalition_edges,
-    _count_rows,
+    _count,
     _digits,
+    _encode,
     _marginal_bins,
     _mask_uniformity_verdict,
     _row_tuples,
-    _sample_view_rows,
+    _sample_view_columns,
     _two_sample_chi_square,
     chi2_contingency,
     enumerate_mask_distribution,
@@ -48,7 +49,6 @@ from reference import (
     histogram_from_counts,
     reference_delivery_schedule,
     reference_enumerate_views,
-    reference_full_view_bins,
     reference_marginal_bins,
     reference_gossip_avg,
     reference_histogram_csv,
@@ -57,6 +57,7 @@ from reference import (
     reference_share_values,
     reference_simulate,
     reference_two_sample_chi_square,
+    reference_view_keys,
 )
 
 
@@ -556,7 +557,7 @@ def test_sample_view_keys_match_the_per_sample_loop(p):
         cols = [k for k, (i, j) in enumerate(t.edges) if i in members or j in members]
         fast_rngs = {i: SeededRng(7, (0, i)) for i in t.vertices}
         slow_rngs = {i: SeededRng(7, (0, i)) for i in t.vertices}
-        fast = list(_row_tuples(_sample_view_rows(t, p, s, cols, fast_rngs, samples=40)))
+        fast = reference_view_keys(_sample_view_columns(t, p, s, cols, fast_rngs, samples=40), p)
         slow = reference_sample_view_keys(t, p, s, cols, slow_rngs, samples=40)
         assert fast == slow
         assert all(type(x) is int for key in fast for x in key)
@@ -573,7 +574,7 @@ def test_count_rows_codes_sort_as_row_tuples(p):
         values = [rnd.randrange(p), p - 1, 0] if p > 3 else list(range(p))
         keys = [tuple(rnd.choice(values) for _ in range(width)) for _ in range(200)]
         rows = np.array(keys, dtype=np.int64 if p < 2**63 else object)
-        codes, counts = _count_rows(rows, p)
+        codes, counts = _count(_encode(list(rows.T), p, (len(rows),)), p**width)
         assert codes.dtype == (np.int64 if p**width < 2**63 else object)
         assert codes.tolist() == sorted(codes.tolist())
         decoded = list(_row_tuples(_digits(codes, p, width)[:, ::-1]))
@@ -598,15 +599,40 @@ def _full_view_cases():
 def test_full_view_chi_square_matches_tuple_bins():
     for k, (t, members, s, s_prime, p) in enumerate(_full_view_cases()):
         cols = _coalition_edges(t, members)
-        rows = [
-            _sample_view_rows(t, p, vec, cols, {i: SeededRng(k, (idx, i)) for i in t.vertices}, 2000)
+        views = [
+            _sample_view_columns(t, p, vec, cols, {i: SeededRng(k, (idx, i)) for i in t.vertices}, 2000)
             for idx, vec in enumerate((s, s_prime))
         ]
-        fast = [Histogram.from_rows(r, p) for r in rows]
-        slow = [reference_full_view_bins(r) for r in rows]
+        width = t.n + len(cols)
+        fast = [Histogram(*_count(_encode(v, p, (2000,)), p**width), p, width) for v in views]
+        slow = [Counter(reference_view_keys(v, p)) for v in views]
         assert (fast[0].codes.dtype == object) == (t.n == 40)
         assert fast == slow
         assert _two_sample_chi_square(*fast) == reference_two_sample_chi_square(*slow)
+
+
+def _bincount_calls(monkeypatch) -> list[int]:
+    # the sizes of the arrays np.bincount counts, in order
+    calls, bincount = [], np.bincount
+    monkeypatch.setattr(np, "bincount", lambda codes, **kw: calls.append(len(codes)) or bincount(codes, **kw))
+    return calls
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_count_switches_to_bincount_at_one_code_per_entry(monkeypatch, dtype):
+    # a space of at most one code per entry is counted by bincount, a larger
+    # one sorted; int64 and Python-int codes alike
+    calls = _bincount_calls(monkeypatch)
+    rnd = random.Random(17)
+    n = 40
+    for space in (n - 1, n, n + 1):
+        calls.clear()
+        values = [rnd.randrange(space) for _ in range(n)]
+        codes, tallies = _count(np.array(values, dtype=dtype), space)
+        assert codes.tolist() == sorted(Counter(values))
+        assert dict(zip(codes.tolist(), tallies.tolist())) == Counter(values)
+        assert all(type(c) is int for c in codes.tolist() + tallies.tolist())
+        assert calls == ([n] if space <= n else [])
 
 
 def _views_both(t, p, members, s, budget=10**7):
@@ -614,6 +640,20 @@ def _views_both(t, p, members, s, budget=10**7):
     fast = enumerate_view_distribution(t, p, AdversarySpec(members), s, budget)
     slow = reference_enumerate_views(t, p, s, _coalition_edges(t, frozenset(members)), budget)
     return fast, slow
+
+
+def test_enumeration_matches_row_sort_on_each_side_of_the_count_switch(monkeypatch):
+    # masks of K4 at p = 3: 3^4 codes for 3^6 rows, counted by bincount; views
+    # of a K4 vertex at p = 7: 7^7 codes for chunks of 2·7^5 rows, sorted
+    calls = _bincount_calls(monkeypatch)
+    k4 = Topology(4, list(itertools.combinations(range(1, 5), 2)))
+    masks = enumerate_mask_distribution(k4, 3)
+    assert calls == [3**6]
+    assert masks == reference_enumerate_views(k4, 3, (0, 0, 0, 0), [], 10**7)
+    calls.clear()
+    fast, slow = _views_both(k4, 7, (1,), (3, 0, 6, 2))
+    assert fast == slow and fast.total == 7**6
+    assert not calls
 
 
 def test_enumeration_past_int64_on_an_edgeless_graph():
@@ -768,16 +808,16 @@ def _by_value(marginals):
 
 @pytest.mark.parametrize("p", [2, 30, 401, 2**64 - 59])
 def test_marginal_bins_match_the_per_key_counters(p):
-    # 300 samples: p = 2 and 30 are counted in one table, 401 and 2^64 - 59 sorted
+    # 300 samples: p = 2 and 30 are counted by bincount, 401 and 2^64 - 59 sorted
     rnd = random.Random(p % 997)
     for t, members in _view_key_cases():
         s = tuple(rnd.randrange(p) for _ in range(t.n))
         cols = _coalition_edges(t, members)
         honest = [i for i in t.vertices if i not in members]
         rngs = {i: SeededRng(11, (1, i)) for i in t.vertices}
-        rows = _sample_view_rows(t, p, s, cols, rngs, samples=300)
-        fast = _by_value(_marginal_bins(rows, p, honest, len(cols)))
-        slow = reference_marginal_bins(list(_row_tuples(rows)), p, honest, len(cols))
+        views = _sample_view_columns(t, p, s, cols, rngs, samples=300)
+        fast = _by_value(_marginal_bins(views, p, honest, len(cols)))
+        slow = reference_marginal_bins(reference_view_keys(views, p), p, honest, len(cols))
         assert fast == slow
         assert all(type(v) is int and type(c) is int for b in fast for v, c in b.items())
 
@@ -786,25 +826,25 @@ def test_marginal_chi_square_matches_the_per_key_tables():
     # each marginal of a path's views with agent 2 in the coalition, tested as
     # the sampled audit tests it
     p = 30
-    rows = [
-        _sample_view_rows(path3(), p, vec, [0, 1], {i: SeededRng(4, (idx, i)) for i in (1, 2, 3)}, 3000)
+    views = [
+        _sample_view_columns(path3(), p, vec, [0, 1], {i: SeededRng(4, (idx, i)) for i in (1, 2, 3)}, 3000)
         for idx, vec in enumerate(((1, 0, 2), (2, 0, 1)))
     ]
-    fast = [_marginal_bins(r, p, [1, 3], 2) for r in rows]
-    slow = [reference_marginal_bins(list(_row_tuples(r)), p, [1, 3], 2) for r in rows]
+    fast = [_marginal_bins(v, p, [1, 3], 2) for v in views]
+    slow = [reference_marginal_bins(reference_view_keys(v, p), p, [1, 3], 2) for v in views]
     for a, b, ref_a, ref_b in zip(*fast, *slow):
         assert _two_sample_chi_square(a, b) == reference_two_sample_chi_square(ref_a, ref_b)
 
 
 def test_marginal_honest_sum_past_int64():
-    # int64 rows (p·(|E|+1) < 2^63); the four isolated agents alone sum past 2^63
+    # int64 columns (p·(|E|+1) < 2^63); the four isolated agents alone sum past 2^63
     p = 2**62 - 57
     t = Topology(6, [(1, 2)])
     s = tuple(p - k for k in range(1, 7))
-    rows = _sample_view_rows(t, p, s, [], {i: SeededRng(3, (0, i)) for i in t.vertices}, samples=50)
-    assert rows.dtype == np.int64
-    fast = _by_value(_marginal_bins(rows, p, list(t.vertices), 0))
-    assert fast == reference_marginal_bins(list(_row_tuples(rows)), p, list(t.vertices), 0)
+    views = _sample_view_columns(t, p, s, [], {i: SeededRng(3, (0, i)) for i in t.vertices}, samples=50)
+    assert all(column.dtype == np.int64 for column in views)
+    fast = _by_value(_marginal_bins(views, p, list(t.vertices), 0))
+    assert fast == reference_marginal_bins(reference_view_keys(views, p), p, list(t.vertices), 0)
     assert fast == [{sum(s) % p: 50}]
 
 
