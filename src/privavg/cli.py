@@ -238,7 +238,7 @@ def _read(entries: Mapping[str, tuple[str, str]], key: str, cfg=None):
 def _parse_topology(entries: Mapping[str, tuple[str, str]], base_dir: Path) -> Topology:
     if "file" in entries:
         name, where = entries["file"]
-        if "n" in entries:
+        if "n" in entries or "edges" in entries:
             raise ConfigError(f"{where} conflicts with inline n/edges")
         path = base_dir / name
         try:
@@ -427,6 +427,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except OSError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except UnicodeDecodeError as exc:  # names no file of its own
+        print(f"config error: file {config_path}: {exc}", file=sys.stderr)
+        return 2
     try:
         # what is left in args are the flags given, each named after its config key
         cfg = parse_config(text, base_dir=config_path.parent, flags=args)
@@ -443,9 +446,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     sys.stdout.write(text_out)
     if out is not None:
         out_dir = Path(out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for name, content in files.items():
-            (out_dir / name).write_text(content)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            for name, content in files.items():
+                (out_dir / name).write_text(content)
+        except OSError as exc:  # a file in the way, or no permission; names the path
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     return status
 
 

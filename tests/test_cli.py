@@ -156,6 +156,43 @@ def test_config_errors_exit_two(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == 2
 
 
+def test_config_that_is_not_utf8_exits_two_with_one_line(tmp_path, capsys):
+    # the same byte in a topology file already exits 2 naming the file
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"[experiment]\nseed = \xff\n")
+    assert main(["run", "--config", str(cfg)]) == 2
+    (err,) = capsys.readouterr().err.splitlines()
+    assert err.startswith(f"config error: file {cfg}: ") and "0xff" in err
+
+
+@pytest.mark.parametrize("sub", [(), ("sub",)])
+def test_out_blocked_by_a_file_exits_one_naming_the_path(tmp_path, capsys, sub):
+    # --out naming a regular file, or a directory below one
+    cfg = tmp_path / "golden.cfg"
+    cfg.write_text(GOLDEN_CFG)
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+    out = blocker.joinpath(*sub)
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "average = 14/3" in captured.out
+    (err,) = captured.err.splitlines()
+    assert err.startswith("error: ") and str(out) in err
+
+
+@pytest.mark.parametrize("inline", ["edges = 1,3", "n = 3"])
+def test_topology_file_conflicts_with_inline_n_or_edges(tmp_path, capsys, inline):
+    (tmp_path / "ring.topo").write_text("n 3\ne 1 2\ne 2 3\ne 1 3\n")
+    cfg = tmp_path / "ref.cfg"
+    cfg.write_text(
+        f"[experiment]\np = 30\nq2 = 9\n\n[topology]\nfile = ring.topo\n{inline}\n\n"
+        "[inputs]\nvalues = 4 7 3\n"
+    )
+    assert main(["run", "--config", str(cfg)]) == 2
+    (err,) = capsys.readouterr().err.splitlines()
+    assert err == "config error: line 6: [topology] file conflicts with inline n/edges"
+
+
 def test_missing_mode_fields_are_named(tmp_path, capsys):
     cfg = tmp_path / "noq.cfg"
     cfg.write_text("[topology]\nn = 2\nedges = 1,2\n\n[inputs]\nvalues = 1 2\n")
