@@ -16,7 +16,9 @@ memory follows the support, not p^|E|. A `Histogram` keeps the sorted
 (code, count) arrays: verdicts and histogram.csv compare, count and format
 on them, and digit rows and outcome tuples are decoded once, on first use.
 Sampled audits encode and count whole views, or count each marginal (the
-honest sum, then each incident difference) as a one-digit code. The default
+honest sum, then each incident difference) as a one-digit code; marginals
+draw only the streams of the coalition and its neighbors, since the
+differences on honest-honest edges cancel in the honest sum. The default
 budget (10^7 rows, e.g. a 6-ring with 4 chords at p = 5) takes about 0.10 s
 for the masks and 0.31 s for the views of one degree-4 coalition vertex on
 a shared 2-core Intel Xeon box (min of 3; Python 3.11, numpy 2.4). When
@@ -510,6 +512,33 @@ def check_group_privacy(
         return replace(sub, claim="group-privacy", details={**sub.details, **base_details})
 
 
+def _sample_differences(
+    t: Topology, p: int, edges: Sequence[int], rngs: Mapping[int, SeededRng], samples: int
+) -> np.ndarray:
+    # The differences on the given edges (indices into t.edges), as uint64 in
+    # [0, p), one row per edge and one entry per sample. Only the edges'
+    # endpoints are drawn: each one's stream yields `samples` rounds of one
+    # share per neighbor in ascending id order, the order init_shares draws in,
+    # without the protocol-bound validation, which audit scenarios may
+    # legitimately violate. The blocks sit side by side, one column per sent
+    # share; each edge's received and sent columns are gathered at once and
+    # differenced mod p.
+    pairs = [t.edges[k] for k in edges]
+    if not pairs:
+        return np.empty((0, samples), dtype=np.uint64)
+    blocks, column = [], {}
+    for i in sorted({v for pair in pairs for v in pair}):
+        nbrs = sorted(t.neighbors(i))
+        column.update({(i, j): len(column) + c for c, j in enumerate(nbrs)})
+        blocks.append(rngs[i].randints_below(p, samples * len(nbrs)).reshape(samples, len(nbrs)))
+    sent = np.concatenate(blocks, axis=1)
+    got = sent[:, [column[(j, i)] for i, j in pairs]]
+    out = sent[:, [column[(i, j)] for i, j in pairs]]
+    b = got - out  # wraps mod 2^64 where got < out; adding p unwraps
+    b += (got < out) * np.uint64(p)
+    return b.T
+
+
 def _sample_view_columns(
     t: Topology,
     p: int,
@@ -518,35 +547,40 @@ def _sample_view_columns(
     rngs: Mapping[int, SeededRng],
     samples: int,
 ) -> list[np.ndarray]:
-    # Each agent's stream yields `samples` rounds of one share per neighbor in
-    # ascending id order, the order init_shares draws in, without the
-    # protocol-bound validation, which audit scenarios may legitimately violate.
-    # The blocks sit side by side, one column per sent share; each edge's
-    # received and sent columns are gathered at once and differenced mod p.
-    # Returns the unreduced view columns, one entry per sample: they stay below
-    # p·(|E|+1) in absolute value, so int64 holds them exactly below 2^63.
-    blocks, column = [], {}
-    for i in t.vertices:
-        nbrs = sorted(t.neighbors(i))
-        column.update({(i, j): len(column) + c for c, j in enumerate(nbrs)})
-        blocks.append(rngs[i].randints_below(p, samples * len(nbrs)).reshape(samples, len(nbrs)))
-    sent = np.concatenate(blocks, axis=1)
-    got = sent[:, [column[(j, i)] for i, j in t.edges]]
-    out = sent[:, [column[(i, j)] for i, j in t.edges]]
-    b = got - out  # wraps mod 2^64 where got < out; adding p unwraps
-    b += (got < out) * np.uint64(p)
+    # The unreduced view columns, one entry per sample, from every agent's
+    # stream: they stay below p·(|E|+1) in absolute value, so int64 holds them
+    # exactly below 2^63.
     dtype = np.int64 if p * (len(t.edges) + 1) < 2**63 else object
-    b = np.ascontiguousarray(b.T, dtype=dtype)  # one row per edge
+    b = np.ascontiguousarray(_sample_differences(t, p, range(len(t.edges)), rngs, samples), dtype=dtype)
     return _view_columns(t, [np.full(samples, v, dtype=dtype) for v in s], coalition_edge_idx, b)
 
 
-def _marginal_bins(columns: list[np.ndarray], p: int, honest: list[int], num_cols: int) -> list[Histogram]:
-    """Counts of the honest-sum marginal (the honest agents' effective inputs,
-    each reduced mod p, summed mod p), then of each of the last `num_cols`
-    view columns, the incident differences, each a one-digit code."""
-    dtype = np.int64 if p * len(honest) < 2**63 else object  # the int64 sum could overflow
-    total = sum((columns[i - 1] % p).astype(dtype, copy=False) for i in honest) % p
-    return [Histogram(*_count(c, p), p, 1) for c in [total, *columns[len(columns) - num_cols :]]]
+def _sample_marginals(
+    t: Topology,
+    p: int,
+    s: tuple[int, ...],
+    members: frozenset[int],
+    cols: list[int],
+    rngs: Mapping[int, SeededRng],
+    samples: int,
+) -> list[Histogram]:
+    """Counts of the honest-sum marginal (the honest agents' effective inputs
+    summed mod p), then of each incident difference on the coalition's edges
+    `cols`, each a one-digit code. Every edge adds +b_k at its first vertex
+    and -b_k at its second, so the differences on honest-honest edges cancel
+    in the honest sum: it is Σ_H s mod p plus ±b_k over the honest-coalition
+    edges, and only the streams of the coalition and its neighbors, the
+    endpoints of `cols`, are drawn."""
+    dtype = np.int64 if p * (len(cols) + 1) < 2**63 else object
+    b = np.ascontiguousarray(_sample_differences(t, p, cols, rngs, samples), dtype=dtype)
+    total = np.full(samples, sum(v for i, v in enumerate(s, 1) if i not in members) % p, dtype=dtype)
+    for k, bk in zip(cols, b):
+        i, j = t.edges[k]
+        if i not in members:
+            total += bk
+        if j not in members:
+            total -= bk
+    return [Histogram(*_count(c, p), p, 1) for c in [total % p, *b]]
 
 
 def chi2_contingency(table: np.ndarray) -> tuple[float, float, np.ndarray]:
@@ -600,9 +634,15 @@ def sampled_view_test(
 
     Bins are whole view tuples while the outcome space stays small (at most
     10^4); past that, the honest-sum marginal and each incident difference are
-    tested separately under a Bonferroni correction. Passing means failing to
-    reject identity at `alpha`; coalitions that cut the graph are expected to
-    be rejected loudly, and the statistic is reported either way.
+    tested separately under a Bonferroni correction. Vector idx (0 for s, 1
+    for s_prime) draws agent i's shares from stream (idx, i). Marginal
+    binning builds only the streams of the coalition C and its neighbors
+    N(C): each edge adds +b_k to one endpoint's effective input and -b_k to
+    the other's, so the differences on honest-honest edges cancel in the
+    honest sum, and it reads the differences on C's edges alone. Passing
+    means failing to reject identity at `alpha`; coalitions that cut the
+    graph are expected to be rejected loudly, and the statistic is reported
+    either way.
     """
     pv = _as_modulus_value(p)
     members = adversary.members
@@ -624,12 +664,6 @@ def sampled_view_test(
             details={"p": pv, "coalition": sorted(members), "identical_inputs": True},
         )
     cols = _coalition_edges(t, members)
-
-    views = [
-        _sample_view_columns(t, pv, vec, cols, {i: SeededRng(seed, (idx, i)) for i in t.vertices}, samples)
-        for idx, vec in enumerate((sv, sw))
-    ]
-
     # p^k estimates the outcome space; k >= the limit's bit length is past it
     exponent = min(len(t.edges), t.n - 1 + len(cols))
     cut = _cuts_group(t, members, honest)
@@ -643,12 +677,21 @@ def sampled_view_test(
 
     if exponent < _FULL_BIN_LIMIT.bit_length() and pv**exponent <= _FULL_BIN_LIMIT:
         width = t.n + len(cols)
+        views = (
+            _sample_view_columns(t, pv, vec, cols, {i: SeededRng(seed, (idx, i)) for i in t.vertices}, samples)
+            for idx, vec in enumerate((sv, sw))
+        )
         hists = (Histogram(*_count(_encode(v, pv, (samples,)), pv**width), pv, width) for v in views)
         stat, adjusted = _two_sample_chi_square(*hists)
         details["binning"] = "full_view"
     else:
-        # marginal fallback: the honest-sum coordinate plus each incident edge
-        bins_a, bins_b = (_marginal_bins(v, pv, sorted(honest), len(cols)) for v in views)
+        # marginal fallback: the honest-sum coordinate plus each incident edge,
+        # from the streams of the coalition's edges' endpoints alone
+        drawn = {v for k in cols for v in t.edges[k]}
+        bins_a, bins_b = (
+            _sample_marginals(t, pv, vec, members, cols, {i: SeededRng(seed, (idx, i)) for i in drawn}, samples)
+            for idx, vec in enumerate((sv, sw))
+        )
         marginal_stats, marginal_ps = zip(*map(_two_sample_chi_square, bins_a, bins_b))
         worst = int(np.argmin(marginal_ps))
         stat = marginal_stats[worst]

@@ -10,6 +10,7 @@ import re
 
 import pytest
 
+import privavg.audit
 from privavg.audit import (
     AuditVerdict,
     EnumerationBudgetError,
@@ -417,6 +418,24 @@ def test_sampled_view_rejects_across_a_cut():
     assert v.pvalue < 1e-6
     assert v.details["binning"] == "full_view"
     assert v.details["is_vertex_cut"] is True
+
+
+def test_sampled_audits_build_only_the_streams_their_binning_reads(monkeypatch):
+    # Differences on honest-honest edges cancel in the honest sum, so marginal
+    # binning builds the streams of C ∪ N(C) for each vector and no other; a
+    # whole view reads every agent's differences, so full-view binning builds
+    # every agent's stream. The addresses stay (vector, agent) either way.
+    built, make = [], privavg.audit.SeededRng
+    monkeypatch.setattr(privavg.audit, "SeededRng", lambda seed, stream: built.append(stream) or make(seed, stream))
+    t = ten_node_three_separators()
+    s = (4, 7, 3, 0, 2, 9, 1, 5, 6, 8)
+    v = sampled_view_test(t, 30, AdversarySpec(members=frozenset({3, 6})), s, (5, 6) + s[2:], samples=2000)
+    assert v.details["binning"] == "marginals"
+    assert sorted(built) == [(idx, i) for idx in (0, 1) for i in (2, 3, 4, 5, 6, 7, 9)]
+    built.clear()
+    v = sampled_view_test(path3(), 3, AdversarySpec(members=frozenset({2})), (1, 0, 2), (2, 0, 1), samples=2000)
+    assert v.details["binning"] == "full_view"
+    assert sorted(built) == [(idx, i) for idx in (0, 1) for i in (1, 2, 3)]
 
 
 def test_sampled_view_needs_enough_samples():

@@ -17,9 +17,9 @@ from privavg.audit import (
     _count,
     _digits,
     _encode,
-    _marginal_bins,
     _mask_uniformity_verdict,
     _row_tuples,
+    _sample_marginals,
     _sample_view_columns,
     _two_sample_chi_square,
     chi2_contingency,
@@ -754,7 +754,7 @@ def _check_chunks(rows: list[int], total: int, chunk: int) -> None:
 @pytest.mark.parametrize(
     "t, p, s",
     [
-        (Topology(2, [(1, 2)]), 40009, (5, 20000)),  # p past 2^15: blocks of one edge's digits
+        (Topology(2, [(1, 2)]), 40009, (5, 20000)),  # p past 2^15: no grid, blocks of the edge's values
         (Topology(5, list(itertools.combinations(range(1, 6), 2))), 3, (0, 2, 1, 1, 0)),  # 3^9 grid
     ],
 )
@@ -772,9 +772,10 @@ def test_enumeration_counts_each_chunk_of_rows_once(monkeypatch, t, p, s):
 @pytest.mark.parametrize("chunk", [4, 8, 10, 30])
 def test_enumeration_matches_row_sort_with_small_chunks(monkeypatch, chunk):
     # A small chunk reaches what only spaces past 2^15 rows reach at full
-    # size: chunks that straddle two assignments of the outer edges before the
-    # last, several outer edges, and, once p exceeds the chunk, a grid that is
-    # a block of one edge's digits. Codes past 2^63 (40 vertices) ride along.
+    # size: several outer edges, blocks of consecutive outer assignments that
+    # carry into an earlier outer edge's digit, a short last block, and, once
+    # p exceeds the chunk, an empty grid with blocks over the edges'
+    # assignments alone. Codes past 2^63 (40 vertices) ride along.
     monkeypatch.setattr(privavg.audit, "_CHUNK", chunk)
     rows = _chunk_rows(monkeypatch)
     k4 = Topology(4, list(itertools.combinations(range(1, 5), 2)))
@@ -806,46 +807,69 @@ def _by_value(marginals):
     return [{v: c for (v,), c in h.items()} for h in marginals]
 
 
+def _neighborhood(t: Topology, members: frozenset[int]) -> set[int]:
+    # C ∪ N(C), the only agents whose streams a marginal sample draws
+    return set(members).union(*(t.neighbors(i) for i in members))
+
+
 @pytest.mark.parametrize("p", [2, 30, 401, 2**64 - 59])
 def test_marginal_bins_match_the_per_key_counters(p):
-    # 300 samples: p = 2 and 30 are counted by bincount, 401 and 2^64 - 59 sorted
+    # 300 samples: p = 2 and 30 are counted by bincount, 401 and 2^64 - 59
+    # sorted. The reference bins views drawn from every agent's stream; the
+    # sampler gets the streams of C ∪ N(C) alone, so touching any other is a
+    # KeyError (an empty coalition gets none), and each one it gets must end
+    # where the whole-view sampler leaves it.
     rnd = random.Random(p % 997)
     for t, members in _view_key_cases():
         s = tuple(rnd.randrange(p) for _ in range(t.n))
         cols = _coalition_edges(t, members)
         honest = [i for i in t.vertices if i not in members]
-        rngs = {i: SeededRng(11, (1, i)) for i in t.vertices}
-        views = _sample_view_columns(t, p, s, cols, rngs, samples=300)
-        fast = _by_value(_marginal_bins(views, p, honest, len(cols)))
+        every = {i: SeededRng(11, (1, i)) for i in t.vertices}
+        drawn = {i: SeededRng(11, (1, i)) for i in _neighborhood(t, members)}
+        views = _sample_view_columns(t, p, s, cols, every, samples=300)
+        fast = _by_value(_sample_marginals(t, p, s, members, cols, drawn, samples=300))
         slow = reference_marginal_bins(reference_view_keys(views, p), p, honest, len(cols))
         assert fast == slow
         assert all(type(v) is int and type(c) is int for b in fast for v, c in b.items())
+        for i, rng in drawn.items():
+            assert rng.randint_below(2**32) == every[i].randint_below(2**32)
 
 
 def test_marginal_chi_square_matches_the_per_key_tables():
     # each marginal of a path's views with agent 2 in the coalition, tested as
     # the sampled audit tests it
-    p = 30
+    p, members = 30, frozenset({2})
+    pairs = list(enumerate(((1, 0, 2), (2, 0, 1))))
     views = [
         _sample_view_columns(path3(), p, vec, [0, 1], {i: SeededRng(4, (idx, i)) for i in (1, 2, 3)}, 3000)
-        for idx, vec in enumerate(((1, 0, 2), (2, 0, 1)))
+        for idx, vec in pairs
     ]
-    fast = [_marginal_bins(v, p, [1, 3], 2) for v in views]
+    fast = [
+        _sample_marginals(path3(), p, vec, members, [0, 1], {i: SeededRng(4, (idx, i)) for i in (1, 2, 3)}, 3000)
+        for idx, vec in pairs
+    ]
     slow = [reference_marginal_bins(reference_view_keys(v, p), p, [1, 3], 2) for v in views]
     for a, b, ref_a, ref_b in zip(*fast, *slow):
         assert _two_sample_chi_square(a, b) == reference_two_sample_chi_square(ref_a, ref_b)
 
 
 def test_marginal_honest_sum_past_int64():
-    # int64 columns (p·(|E|+1) < 2^63); the four isolated agents alone sum past 2^63
+    # int64 columns (p·(|E|+1) < 2^63); the four isolated agents alone sum past
+    # 2^63, so the honest sum of the inputs is reduced mod p before the edges'
+    # differences are added to it
     p = 2**62 - 57
     t = Topology(6, [(1, 2)])
     s = tuple(p - k for k in range(1, 7))
-    views = _sample_view_columns(t, p, s, [], {i: SeededRng(3, (0, i)) for i in t.vertices}, samples=50)
-    assert all(column.dtype == np.int64 for column in views)
-    fast = _by_value(_marginal_bins(views, p, list(t.vertices), 0))
-    assert fast == reference_marginal_bins(reference_view_keys(views, p), p, list(t.vertices), 0)
-    assert fast == [{sum(s) % p: 50}]
+    for members in [frozenset(), frozenset({1})]:
+        cols = _coalition_edges(t, members)
+        honest = [i for i in t.vertices if i not in members]
+        views = _sample_view_columns(t, p, s, cols, {i: SeededRng(3, (0, i)) for i in t.vertices}, samples=50)
+        assert all(column.dtype == np.int64 for column in views)
+        drawn = {i: SeededRng(3, (0, i)) for i in _neighborhood(t, members)}
+        fast = _by_value(_sample_marginals(t, p, s, members, cols, drawn, samples=50))
+        assert fast == reference_marginal_bins(reference_view_keys(views, p), p, honest, len(cols))
+        if not members:
+            assert fast == [{sum(s) % p: 50}]
 
 
 def test_chi2_contingency_matches_scipy_bit_for_bit():
