@@ -1,27 +1,28 @@
 """Distribution audits: exact enumeration oracles with a sampled fallback.
 
 The protocol's privacy claims are exact distribution identities, so the
-preferred check is to enumerate every edge-difference assignment and compare
-histograms outcome by outcome. Mask vectors are the incidence matrix applied
-to the difference vector, which is why enumeration can run over Z_p^|E|
-instead of the quadratically larger raw share space. Every audit counts
-views the same way: `_encode` folds the view columns, reduced mod p, into
-mixed-radix codes (int64 while p^width < 2^63, Python ints past that), and
-`_count` tallies the distinct codes in sorted order, by one bincount while
-the code space is no larger than the number of codes and by one sort past
-that. Enumeration (see _enumerate_views) shifts one precomputed grid of
-unreduced view columns by a block of consecutive assignments of the other
-edges, and encodes, counts and merges each block of at least 2^15 rows, so
-memory follows the support, not p^|E|. A `Histogram` keeps the sorted
-(code, count) arrays: verdicts and histogram.csv compare, count and format
-on them, and digit rows and outcome tuples are decoded once, on first use.
-Sampled audits encode and count whole views, or count each marginal (the
-honest sum, then each incident difference) as a one-digit code; marginals
-draw only the streams of the coalition and its neighbors, since the
-differences on honest-honest edges cancel in the honest sum. The default
-budget (10^7 rows, e.g. a 6-ring with 4 chords at p = 5) takes about 0.10 s
-for the masks and 0.31 s for the views of one degree-4 coalition vertex on
-a shared 2-core Intel Xeon box (min of 3; Python 3.11, numpy 2.4). When
+preferred check is to count the views of every edge-difference assignment
+and compare histograms outcome by outcome. Mask vectors are the incidence
+matrix applied to the difference vector, so a coalition's view is (s, 0)
+plus Σ_k b_k·v_k over independent uniform b_k, where v_k is edge k's view
+column. Enumeration (see _enumerate_views) therefore convolves the point
+(s, 0) with the uniform law on each line {b·v_k}, one edge at a time,
+merging equal views; its work and memory follow the support, at most |E|·p
+times it, while the budget still counts the p^|E| assignments. Every audit
+holds views the same way: as mixed-radix codes of the view columns reduced
+mod p (int64 while p^width < 2^63, Python ints past that; see _encode).
+`_count` tallies the distinct codes of sampled views in sorted order, by
+one bincount while the code space is no larger than the number of codes and
+by one sort past that. A `Histogram` keeps the sorted (code, count) arrays:
+verdicts and histogram.csv compare, count and format on them, and digit
+rows and outcome tuples are decoded once, on first use. Sampled audits
+encode and count whole views, or count each marginal (the honest sum, then
+each incident difference) as a one-digit code; marginals draw only the
+streams of the coalition and its neighbors, since the differences on
+honest-honest edges cancel in the honest sum. At the default budget (10^7
+assignments, e.g. a 6-ring with 4 chords at p = 5) the masks take about
+3 ms and the views of the degree-5 vertex, 1.95·10^6 outcomes, about 0.1 s
+on a shared 2-core Intel Xeon box (min of 3; Python 3.11, numpy 2.4). When
 the space is too big, a seeded two-sample chi-square over binned coalition
 views stands in; negative controls (coalitions that cut the graph) must
 visibly leak there.
@@ -52,7 +53,6 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 10**7
-_CHUNK = 1 << 15  # rows an enumeration grid holds at most, and each chunk but the last at least
 _FULL_BIN_LIMIT = 10**4
 
 
@@ -174,8 +174,9 @@ def _check_inputs(t: Topology, p: int, s: Sequence[int], name: str) -> tuple[int
 
 
 def _space_size(t: Topology, p: int, budget: int) -> int:
-    # p^|E|, refused past the budget or 2^63; as p >= 2, |E| >= the budget's
-    # bit length is past the budget, and there p^|E| is never built
+    # p^|E|, refused past the budget or 2^63 (the int64 tallies sum to it);
+    # as p >= 2, |E| >= the budget's bit length is past the budget, and there
+    # p^|E| is never built
     m = len(t.edges)
     total = p**m if m < budget.bit_length() else None
     if total is not None and total <= budget and total < 2**63:
@@ -248,63 +249,57 @@ def _count(codes: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
     return np.unique(codes, return_counts=True)
 
 
-def _merge_counts(
-    codes: np.ndarray, counts: np.ndarray, more: np.ndarray, more_counts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    # sorted union of two sorted, duplicate-free code arrays; counts of codes in
-    # both are summed into `counts` in place
-    if not len(codes):
-        return more, more_counts
-    pos = np.searchsorted(codes, more)
-    seen = pos < len(codes)
-    seen[seen] = codes[pos[seen]] == more[seen]
-    counts[pos[seen]] += more_counts[seen]
-    fresh = ~seen
-    return np.insert(codes, pos[fresh], more[fresh]), np.insert(counts, pos[fresh], more_counts[fresh])
+def _shift(codes: np.ndarray, p: int, wi: int, wj: int, wc: int) -> np.ndarray:
+    """Every code shifted by b·v for b = 0..p-1, b-major: b added mod p to
+    the digit of weight wi, subtracted mod p from the digit of weight wj and
+    added to the digit of weight wc, which is 0 before (wc = 0 for none).
+    Each step keeps the values inside (-p^width, p^width), so int64 codes
+    never wrap."""
+    b = np.arange(p, dtype=codes.dtype)[:, None]
+    shifted = codes - b * wj
+    np.add(shifted, p * wj, out=shifted, where=b > codes // wj % p)
+    np.subtract(shifted, p * wi, out=shifted, where=b >= p - codes // wi % p)
+    shifted += b * (wi + wc)
+    return shifted.reshape(-1)
 
 
-def _grid_digits(p: int, inner: int, dtype) -> tuple[list[np.ndarray], tuple[int, ...]]:
-    """Digit arrays of `inner` edges, in edge order, and the grid shape
-    (p,)*(inner-L) + (p^L,) they broadcast to: each edge but the last L on
-    an axis of its own, the last L in Kronecker order on the last axis. L is
-    the fewest edges with p^L >= 64 (or all of them), so that a column that
-    depends on a few of the edges broadcasts over the grid in inner loops of
-    at least 64 entries."""
-    low = next((k for k in range(inner + 1) if p**k >= 64), inner)
-    shape = (p,) * (inner - low) + (p**low,)
-    digits = list(np.indices(shape, dtype=dtype, sparse=True)[:-1])
-    return digits + list(np.indices((p,) * low, dtype=dtype).reshape(low, p**low)), shape
+def _sort(codes: np.ndarray, tallies: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # codes sorted, with their tallies: entry e of `codes` is a shift of the
+    # point that tallies[e % len(tallies)] counts
+    order = np.argsort(codes)
+    codes = codes[order]
+    order %= len(tallies)
+    return codes, tallies[order]
 
 
 def _enumerate_views(t: Topology, p: int, s: Sequence[int], cols: list[int], budget: int) -> Histogram:
-    """Histogram of the view columns over every edge-difference vector.
+    """Histogram of the view columns over every edge-difference vector, by
+    convolution, one edge at a time.
 
-    The last `inner` edges, as many as keep p^inner <= 2^15, span one grid:
-    the view columns of their digit arrays with s = 0, unreduced, built once.
-    The other, outer edges' assignments are numbered in order, the first
-    edge's digit most significant, and a chunk is a block of
-    ceil(2^15 / p^inner) consecutive numbers on a leading axis, so every
-    chunk but the last has at least 2^15 rows. Each outer edge's digits are
-    decoded from the block and shift the grid's columns, which are encoded
-    (see _encode), counted once (see _count) and merged."""
+    The view is (s, 0) + Σ_k b_k·v_k over independent uniform b_k, where
+    edge k's view column v_k is +1 at its first vertex, -1 at its second and
+    +1 at its own coalition column if it has one. So from the single point
+    (s, 0), each edge shifts every point by b·v_k for b = 0..p-1 (see
+    _shift), on codes (see _encode) with a tally each. The edges that miss
+    the coalition come first, and after each one equal codes merge, their
+    tallies summed. The coalition's edges come last, unmerged: each writes b
+    into a column of its own, so its shifted rows stay distinct. One sort
+    orders them at the end. The work is at most |E|·p times the support."""
     _space_size(t, p, budget)
-    m, width = len(t.edges), t.n + len(cols)
-    dtype = np.int64 if p**width < 2**63 else object
-    inner = next(k for k in range(m, -1, -1) if p**k <= _CHUNK)
-    outer = m - inner
-    digits, shape = _grid_digits(p, inner, dtype)
-    grid = _view_columns(t, [0] * t.n, cols, [0] * outer + digits)
-    per_chunk = -(-_CHUNK // p**inner)
-    codes, counts = np.empty(0, dtype=dtype), np.empty(0, dtype=np.int64)
-    for start in range(0, p**outer, per_chunk):
-        stop = min(start + per_chunk, p**outer)
-        block = np.arange(start, stop, dtype=dtype).reshape((-1,) + (1,) * len(shape))
-        outer_digits = [block // p**j % p for j in range(outer - 1, -1, -1)]
-        shift = _view_columns(t, s, cols, outer_digits + [0] * inner)
-        columns = [column + offset for column, offset in zip(grid, shift)]
-        more = _encode(columns, p, block.shape[:1] + shape).reshape(-1)
-        codes, counts = _merge_counts(codes, counts, *_count(more, p**width))
-    return Histogram(codes, counts, p, width)
+    width = t.n + len(cols)
+    weights = [p ** (width - 1 - c) for c in range(width)]
+    own = dict(zip(cols, weights[t.n:]))
+    start = sum(v * w for v, w in zip(s, weights))  # the code of (s, 0)
+    codes = np.full(1, start, dtype=np.int64 if p**width < 2**63 else object)
+    tallies = np.ones(1, dtype=np.int64)
+    for k in [k for k in range(len(t.edges)) if k not in own] + cols:
+        i, j = t.edges[k]
+        codes = _shift(codes, p, weights[i - 1], weights[j - 1], own.get(k, 0))
+        if k not in own:
+            codes, tallies = _sort(codes, tallies)
+            fresh = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
+            codes, tallies = codes[fresh], np.add.reduceat(tallies, fresh)
+    return Histogram(*_sort(codes, tallies), p, width)
 
 
 def enumerate_mask_distribution(t: Topology, p, budget: int = DEFAULT_BUDGET) -> Histogram:

@@ -13,7 +13,7 @@ before it buffered words. `reference_share_values` and
 rows of an arange (`reference_b_chunks`), builds each chunk's view rows by an
 incidence-matrix product (`reference_view_rows`), counts them with
 `np.unique(axis=0)` and merges them one row at a time, as enumeration did
-before it worked on one grid, and
+before it counted views one edge at a time, and
 `reference_marginal_bins` bins sampled view keys one key at a time, as the
 audits did before they worked on mixed-radix codes and columns
 (`reference_view_keys` reads the audit's view columns as those keys), and

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -27,9 +28,9 @@ from privavg.audit import (
     enumerate_view_distribution,
     histogram_csv,
 )
-import privavg.audit
 import privavg.cli
 import privavg.consensus
+import reference
 from privavg.cli import parse_config, run_experiment
 from privavg.consensus import (
     ConsensusAlgo,
@@ -643,14 +644,14 @@ def _views_both(t, p, members, s, budget=10**7):
 
 
 def test_enumeration_matches_row_sort_on_each_side_of_the_count_switch(monkeypatch):
-    # masks of K4 at p = 3: 3^4 codes for 3^6 rows, counted by bincount; views
-    # of a K4 vertex at p = 7: 7^7 codes for chunks of 2·7^5 rows, sorted
+    # masks of K4 at p = 3: 3^4 codes for 3^6 rows, which `_count` would
+    # bincount; views of a K4 vertex at p = 7: 7^7 codes for 7^6 rows, which
+    # it would sort. The fold merges by its own sorts on both sides, with no
+    # bincount table of the code space
     calls = _bincount_calls(monkeypatch)
     k4 = Topology(4, list(itertools.combinations(range(1, 5), 2)))
     masks = enumerate_mask_distribution(k4, 3)
-    assert calls == [3**6]
     assert masks == reference_enumerate_views(k4, 3, (0, 0, 0, 0), [], 10**7)
-    calls.clear()
     fast, slow = _views_both(k4, 7, (1,), (3, 0, 6, 2))
     assert fast == slow and fast.total == 7**6
     assert not calls
@@ -668,19 +669,20 @@ def test_enumeration_past_int64_on_an_edgeless_graph():
         assert fast == slow
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 30])
+@pytest.mark.parametrize("p", [2, 3, 4, 5, 6, 30])
 def test_enumeration_matches_row_sort_on_every_small_graph(p):
-    # every labelled graph on up to 4 vertices, no coalition and each single
-    # vertex; spaces past the budget must be refused
+    # every labelled graph on up to 4 vertices (5 at p = 2), composite p
+    # included; no coalition, each single vertex and, on 5 vertices, {1, 2};
+    # spaces past the budget must be refused
     budget = 2 * 10**4
     rnd = random.Random(p)
-    for n in range(1, 5):
+    for n in range(1, 6 if p == 2 else 5):
         pairs = list(itertools.combinations(range(1, n + 1), 2))
         for r in range(len(pairs) + 1):
             for edges in itertools.combinations(pairs, r):
                 t = Topology(n, list(edges))
                 s = tuple(rnd.randrange(p) for _ in range(n))
-                for members in [()] + [(i,) for i in t.vertices]:
+                for members in [()] + [(i,) for i in t.vertices] + ([(1, 2)] if n == 5 else []):
                     if p ** len(edges) > budget:
                         with pytest.raises(EnumerationBudgetError):
                             enumerate_view_distribution(t, p, AdversarySpec(members), s, budget)
@@ -692,7 +694,8 @@ def test_enumeration_matches_row_sort_on_every_small_graph(p):
 
 
 def test_enumeration_matches_row_sort_across_chunks():
-    # 3^10 = 59,049 rows: two chunks, whose codes must merge into one count each
+    # K5 at p = 3: 3^10 = 59,049 edge-difference vectors, the most of any
+    # enumeration in these tests
     t = Topology(5, list(itertools.combinations(range(1, 6), 2)))
     for members in [(), (1,), (2, 4)]:
         fast, slow = _views_both(t, 3, members, (0, 2, 1, 1, 0))
@@ -703,10 +706,11 @@ def test_enumeration_matches_row_sort_across_chunks():
 
 
 def test_enumeration_merges_interleaved_codes_across_chunks():
-    # 40,009 rows in two chunks; the second chunk's codes fall between the first's
+    # one edge at p = 40,009: p distinct views, whose digits wrap around mod p
+    # at different b, so their codes are made out of order
     p = 40009
     t = Topology(2, [(1, 2)])
-    for members in [(), (1,)]:
+    for members in [(), (1,), (2,)]:
         fast, slow = _views_both(t, p, members, (5, 20000))
         assert fast == slow
         assert len(fast.counts) == p and set(fast.counts.values()) == {1}
@@ -723,7 +727,14 @@ def test_enumeration_past_int64_codes_counts_rows_as_tuples():
         top = (p - 1, p - 1, p - 1)
         fast, slow = _views_both(t, p, (), top)
         assert fast == slow and fast.counts == {top: 1}
-    # 40,009 rows over two chunks, width 5 or 6
+    # shifts of the most significant digit of codes past 2^62: 5^27 < 2^63
+    # without the coalition, 5^29 > 2^63 with it
+    t = Topology(27, [(1, 2), (1, 27)])
+    for members in [(), (1,)]:
+        fast, slow = _views_both(t, 5, members, (4,) * 27)
+        assert fast == slow and fast.total == 25
+        assert (fast.codes.dtype == object) == bool(members)
+    # one edge at p = 40,009 among five vertices, width 5 or 6
     p = 40009
     t = Topology(5, [(1, 2)])
     for members in [(), (1,), (3,)]:
@@ -732,52 +743,27 @@ def test_enumeration_past_int64_codes_counts_rows_as_tuples():
         assert fast.total == p and len(fast.counts) == p
 
 
-def _chunk_rows(monkeypatch) -> list[int]:
-    # the rows of each chunk that enumeration counts and merges, in order
-    rows = []
-    merge = privavg.audit._merge_counts
-    monkeypatch.setattr(
-        privavg.audit, "_merge_counts", lambda *args: rows.append(int(args[3].sum())) or merge(*args)
-    )
+def _reference_chunks(monkeypatch, chunk: int) -> list[int]:
+    # the reference walks its b-vectors `chunk` rows at a time; the rows of
+    # each of its chunks, in order
+    rows, b_chunks = [], reference.reference_b_chunks
+
+    def small(num_edges, p, total):
+        for block in b_chunks(num_edges, p, total, chunk):
+            rows.append(len(block))
+            yield block
+
+    monkeypatch.setattr(reference, "reference_b_chunks", small)
     return rows
-
-
-def _check_chunks(rows: list[int], total: int, chunk: int) -> None:
-    # every chunk but the last holds at least `chunk` rows and none twice that
-    # (a grid of at most `chunk` rows, repeated up to the first multiple past
-    # `chunk`), so there are at most ceil(total / chunk) counts
-    assert sum(rows) == total
-    assert all(chunk <= r for r in rows[:-1]) and all(0 < r < 2 * chunk for r in rows)
-    assert len(rows) <= -(-total // chunk)
-
-
-@pytest.mark.parametrize(
-    "t, p, s",
-    [
-        (Topology(2, [(1, 2)]), 40009, (5, 20000)),  # p past 2^15: no grid, blocks of the edge's values
-        (Topology(5, list(itertools.combinations(range(1, 6), 2))), 3, (0, 2, 1, 1, 0)),  # 3^9 grid
-    ],
-)
-def test_enumeration_counts_each_chunk_of_rows_once(monkeypatch, t, p, s):
-    # at most ceil(p^|E| / 2^15) counts, so no count (or loop step) per outer
-    # assignment: the 3^10 case has three of them and takes two chunks
-    rows = _chunk_rows(monkeypatch)
-    for members in [(), (1,)]:
-        rows.clear()
-        hist = enumerate_view_distribution(t, p, AdversarySpec(members), s)
-        _check_chunks(rows, p ** len(t.edges), 2**15)
-        assert len(rows) == 2 and hist.total == p ** len(t.edges)
 
 
 @pytest.mark.parametrize("chunk", [4, 8, 10, 30])
 def test_enumeration_matches_row_sort_with_small_chunks(monkeypatch, chunk):
-    # A small chunk reaches what only spaces past 2^15 rows reach at full
-    # size: several outer edges, blocks of consecutive outer assignments that
-    # carry into an earlier outer edge's digit, a short last block, and, once
-    # p exceeds the chunk, an empty grid with blocks over the edges'
-    # assignments alone. Codes past 2^63 (40 vertices) ride along.
-    monkeypatch.setattr(privavg.audit, "_CHUNK", chunk)
-    rows = _chunk_rows(monkeypatch)
+    # The fold against the reference walking its rows `chunk` at a time, so
+    # each outcome's count is merged over many chunks of the row sort: several
+    # edges at small p, and codes past 2^63 (40 vertices); coalitions none,
+    # {1} and {2}
+    rows = _reference_chunks(monkeypatch, chunk)
     k4 = Topology(4, list(itertools.combinations(range(1, 5), 2)))
     ring = Topology(4, [(1, 2), (2, 3), (3, 4), (1, 4), (1, 3)])
     wide = Topology(40, [(1, 2), (2, 3), (3, 4)])
@@ -788,11 +774,26 @@ def test_enumeration_matches_row_sort_with_small_chunks(monkeypatch, chunk):
         (wide, 3, (2, 0, 1, 1) + (0,) * 36),
     ]
     for t, p, s in cases:
+        total = p ** len(t.edges)
         for members in [(), (1,), (2,)]:
             rows.clear()
             fast, slow = _views_both(t, p, members, s)
-            assert fast == slow
-            _check_chunks(rows, p ** len(t.edges), chunk)
+            assert fast == slow and fast.total == total
+            assert sum(rows) == total and len(rows) == -(-total // chunk)
+
+
+def test_enumeration_memory_follows_the_support():
+    # masks of K6 at p = 3: 3^15 edge-difference vectors but 3^5 masks, so
+    # the enumeration's peak allocation follows the 243 outcomes
+    k6 = Topology(6, list(itertools.combinations(range(1, 7), 2)))
+    tracemalloc.start()
+    try:
+        hist = enumerate_mask_distribution(k6, 3, budget=2 * 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(hist) == 3**5 and set(hist.tallies.tolist()) == {3**10}
+    assert peak < 256 * 1024
 
 
 def test_enumeration_refuses_spaces_int64_codes_cannot_index():
