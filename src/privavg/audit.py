@@ -5,27 +5,31 @@ preferred check is to count the views of every edge-difference assignment
 and compare histograms outcome by outcome. Mask vectors are the incidence
 matrix applied to the difference vector, so a coalition's view is (s, 0)
 plus Σ_k b_k·v_k over independent uniform b_k, where v_k is edge k's view
-column. Enumeration (see _enumerate_views) therefore convolves the point
-(s, 0) with the uniform law on each line {b·v_k}, one edge at a time,
-merging equal views; its work and memory follow the support, at most |E|·p
-times it, while the budget still counts the p^|E| assignments. Every audit
-holds views the same way: as mixed-radix codes of the view columns reduced
-mod p (int64 while p^width < 2^63, Python ints past that; see _encode).
-`_count` tallies the distinct codes of sampled views in sorted order, by
-one bincount while the code space is no larger than the number of codes and
-by one sort past that. A `Histogram` keeps the sorted (code, count) arrays:
-verdicts and histogram.csv compare, count and format on them, and digit
-rows and outcome tuples are decoded once, on first use. Sampled audits
-encode and count whole views, or count each marginal (the honest sum, then
-each incident difference) as a one-digit code; marginals draw only the
-streams of the coalition and its neighbors, since the differences on
-honest-honest edges cancel in the honest sum. At the default budget (10^7
-assignments, e.g. a 6-ring with 4 chords at p = 5) the masks take about
-3 ms and the views of the degree-5 vertex, 1.95·10^6 outcomes, about 0.1 s
-on a shared 2-core Intel Xeon box (min of 3; Python 3.11, numpy 2.4). When
-the space is too big, a seeded two-sample chi-square over binned coalition
-views stands in; negative controls (coalitions that cut the graph) must
-visibly leak there.
+column. Every audit holds views as mixed-radix codes of the view columns
+reduced mod p (int64 while p^width < 2^63, Python ints past that; see
+_code_basis), and builds them one way: from the code of (s, 0), each edge
+shifts the code by b·v_k (see _shift). Enumeration (see _enumerate_views)
+shifts every view counted so far by each b = 0..p-1, so it convolves the
+point (s, 0) with the uniform law on each line {b·v_k}, merging equal
+views; its work and memory follow the support, at most |E|·p times it,
+while the budget still counts the p^|E| assignments. Sampled whole views
+shift each sample's code by its own draws. `_count` tallies the distinct
+codes of sampled views in sorted order, by one bincount while the code
+space is no larger than the number of codes and by one sort past that. A
+`Histogram` keeps the sorted (code, count) arrays: verdicts and
+histogram.csv compare, count and format on them, and digit rows and
+outcome tuples are decoded once, on first use. Sampled audits count whole
+views, or each marginal (the honest sum, then each incident difference) as
+a one-digit code; marginals draw only the streams of the coalition and its
+neighbors, since the differences on honest-honest edges cancel in the
+honest sum. At the default budget (10^7 assignments, e.g. a 6-ring with 4
+chords at p = 5) the masks take about 3 ms and the views of the degree-5
+vertex, 1.95·10^6 outcomes, about 0.1 s on a shared 2-core Intel Xeon box
+(min of 3; Python 3.11, numpy 2.4). When the space is too big, a seeded
+two-sample chi-square over binned coalition views stands in. Coalitions
+that cut the graph leak in exact audits and under whole-view binning;
+marginal binning does not yet show it, since each marginal has the same
+law under both inputs of any pair the audit accepts.
 """
 from __future__ import annotations
 
@@ -63,7 +67,7 @@ class EnumerationBudgetError(ValueError):
 class Histogram(Mapping):
     """Outcome tuple -> count, read-only, held as sorted, duplicate-free
     mixed-radix codes (base p, `width` digits, first digit most significant;
-    see _encode) with a parallel `tallies` array. The digit rows and the
+    see _code_basis) with a parallel `tallies` array. The digit rows and the
     tuples are each decoded once, on first use; len(), `total` and equality
     with a histogram of the same p and width read the arrays."""
 
@@ -190,8 +194,8 @@ def _space_size(t: Topology, p: int, budget: int) -> int:
             "use sampled_view_test instead"
         )
     raise EnumerationBudgetError(
-        f"enumeration needs {size} b-vectors, past the 2^63 that int64 "
-        "chunk codes can index; use sampled_view_test instead"
+        f"enumeration needs {size} b-vectors; its int64 tallies sum to that "
+        "and overflow at 2^63; use sampled_view_test instead"
     )
 
 
@@ -206,36 +210,12 @@ def _digits(codes: np.ndarray, p: int, width: int) -> np.ndarray:
     return digits.T
 
 
-def _view_columns(t: Topology, s: Sequence, cols: list[int], b: Sequence) -> list:
-    """The view columns before reduction mod p: the effective inputs s + B·b,
-    one per vertex (+b_k at edge k's first vertex, -b_k at its second), then
-    the coalition's entries of b. `b` holds one entry per edge, an int or an
-    array, and the entries broadcast together; a vertex no edge touches keeps
-    its entry of s."""
-    sums = list(s)
-    for (i, j), bk in zip(t.edges, b):
-        sums[i - 1] = sums[i - 1] + bk
-        sums[j - 1] = sums[j - 1] - bk
-    return sums + [b[k] for k in cols]
-
-
 def _row_tuples(rows: np.ndarray) -> Iterator[tuple[int, ...]]:
     # Rows as tuples of Python ints, zipped from one list per column. One list
     # per row (rows.tolist()) would hold up to 3·10^4 live lists at once; they
     # outlive the young GC generations and set off full collections, each a
     # walk over every object of the process. Tuples of ints get untracked.
     return zip(*rows.T.tolist())
-
-
-def _encode(columns: Sequence, p: int, shape: tuple[int, ...]) -> np.ndarray:
-    """Mixed-radix codes of views whose columns broadcast to `shape`: each column
-    reduced mod p and folded in by Horner, the first most significant, so codes
-    sort as outcome tuples do; int64 while p^width < 2^63, else Python ints."""
-    codes = np.zeros(shape, dtype=np.int64 if p ** len(columns) < 2**63 else object)
-    for column in columns:
-        codes *= p
-        codes += column % p
-    return codes
 
 
 def _count(codes: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
@@ -249,18 +229,28 @@ def _count(codes: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
     return np.unique(codes, return_counts=True)
 
 
-def _shift(codes: np.ndarray, p: int, wi: int, wj: int, wc: int) -> np.ndarray:
-    """Every code shifted by b·v for b = 0..p-1, b-major: b added mod p to
-    the digit of weight wi, subtracted mod p from the digit of weight wj and
-    added to the digit of weight wc, which is 0 before (wc = 0 for none).
-    Each step keeps the values inside (-p^width, p^width), so int64 codes
-    never wrap."""
-    b = np.arange(p, dtype=codes.dtype)[:, None]
+def _code_basis(p: int, s: Sequence[int], cols: list[int]) -> tuple[list[int], dict[int, int], int, type]:
+    """What every view code is built from: the digit weights p^(width-1-c)
+    of the view columns (the n effective inputs, then the coalition's edges
+    `cols`), each coalition edge's own-column weight, the code of (s, 0),
+    and the code dtype: int64 while p^width < 2^63, Python ints past that."""
+    width = len(s) + len(cols)
+    weights = [p ** (width - 1 - c) for c in range(width)]
+    start = sum(v * w for v, w in zip(s, weights))
+    return weights, dict(zip(cols, weights[len(s):])), start, np.int64 if p**width < 2**63 else object
+
+
+def _shift(codes: np.ndarray, p: int, b: np.ndarray, wi: int, wj: int, wc: int) -> np.ndarray:
+    """Codes shifted by b·v, where b (residues mod p of the codes' dtype)
+    broadcasts against them: b added mod p to the digit of weight wi,
+    subtracted mod p from the digit of weight wj and added to the digit of
+    weight wc, which is 0 before (wc = 0 for none). Each step keeps the
+    values inside (-p^width, p^width), so int64 codes never wrap."""
     shifted = codes - b * wj
     np.add(shifted, p * wj, out=shifted, where=b > codes // wj % p)
     np.subtract(shifted, p * wi, out=shifted, where=b >= p - codes // wi % p)
     shifted += b * (wi + wc)
-    return shifted.reshape(-1)
+    return shifted
 
 
 def _sort(codes: np.ndarray, tallies: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -280,26 +270,24 @@ def _enumerate_views(t: Topology, p: int, s: Sequence[int], cols: list[int], bud
     edge k's view column v_k is +1 at its first vertex, -1 at its second and
     +1 at its own coalition column if it has one. So from the single point
     (s, 0), each edge shifts every point by b·v_k for b = 0..p-1 (see
-    _shift), on codes (see _encode) with a tally each. The edges that miss
+    _shift), on codes (see _code_basis) with a tally each. The edges that miss
     the coalition come first, and after each one equal codes merge, their
     tallies summed. The coalition's edges come last, unmerged: each writes b
     into a column of its own, so its shifted rows stay distinct. One sort
     orders them at the end. The work is at most |E|·p times the support."""
     _space_size(t, p, budget)
-    width = t.n + len(cols)
-    weights = [p ** (width - 1 - c) for c in range(width)]
-    own = dict(zip(cols, weights[t.n:]))
-    start = sum(v * w for v, w in zip(s, weights))  # the code of (s, 0)
-    codes = np.full(1, start, dtype=np.int64 if p**width < 2**63 else object)
+    weights, own, start, dtype = _code_basis(p, s, cols)
+    codes = np.full(1, start, dtype=dtype)
     tallies = np.ones(1, dtype=np.int64)
     for k in [k for k in range(len(t.edges)) if k not in own] + cols:
         i, j = t.edges[k]
-        codes = _shift(codes, p, weights[i - 1], weights[j - 1], own.get(k, 0))
+        b = np.arange(p, dtype=dtype)[:, None]  # b-major
+        codes = _shift(codes, p, b, weights[i - 1], weights[j - 1], own.get(k, 0)).reshape(-1)
         if k not in own:
             codes, tallies = _sort(codes, tallies)
             fresh = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
             codes, tallies = codes[fresh], np.add.reduceat(tallies, fresh)
-    return Histogram(*_sort(codes, tallies), p, width)
+    return Histogram(*_sort(codes, tallies), p, len(weights))
 
 
 def enumerate_mask_distribution(t: Topology, p, budget: int = DEFAULT_BUDGET) -> Histogram:
@@ -534,20 +522,23 @@ def _sample_differences(
     return b.T
 
 
-def _sample_view_columns(
+def _sample_view_codes(
     t: Topology,
     p: int,
     s: tuple[int, ...],
-    coalition_edge_idx: list[int],
+    cols: list[int],
     rngs: Mapping[int, SeededRng],
     samples: int,
-) -> list[np.ndarray]:
-    # The unreduced view columns, one entry per sample, from every agent's
-    # stream: they stay below p·(|E|+1) in absolute value, so int64 holds them
-    # exactly below 2^63.
-    dtype = np.int64 if p * (len(t.edges) + 1) < 2**63 else object
+) -> np.ndarray:
+    # One view code per sample, from every agent's stream: the code of (s, 0)
+    # shifted by each edge's sampled differences, one edge at a time, each
+    # sample by its own b (see _shift)
+    weights, own, start, dtype = _code_basis(p, s, cols)
+    codes = np.full(samples, start, dtype=dtype)
     b = np.ascontiguousarray(_sample_differences(t, p, range(len(t.edges)), rngs, samples), dtype=dtype)
-    return _view_columns(t, [np.full(samples, v, dtype=dtype) for v in s], coalition_edge_idx, b)
+    for k, (i, j) in enumerate(t.edges):
+        codes = _shift(codes, p, b[k], weights[i - 1], weights[j - 1], own.get(k, 0))
+    return codes
 
 
 def _sample_marginals(
@@ -635,9 +626,10 @@ def sampled_view_test(
     N(C): each edge adds +b_k to one endpoint's effective input and -b_k to
     the other's, so the differences on honest-honest edges cancel in the
     honest sum, and it reads the differences on C's edges alone. Passing
-    means failing to reject identity at `alpha`; coalitions that cut the
-    graph are expected to be rejected loudly, and the statistic is reported
-    either way.
+    means failing to reject identity at `alpha`, and the statistic is
+    reported either way. Whole-view binning can reject coalitions that cut
+    the graph; marginal binning cannot yet, since each marginal has the same law
+    under s and s_prime for every pair the precondition admits.
     """
     pv = _as_modulus_value(p)
     members = adversary.members
@@ -673,10 +665,10 @@ def sampled_view_test(
     if exponent < _FULL_BIN_LIMIT.bit_length() and pv**exponent <= _FULL_BIN_LIMIT:
         width = t.n + len(cols)
         views = (
-            _sample_view_columns(t, pv, vec, cols, {i: SeededRng(seed, (idx, i)) for i in t.vertices}, samples)
+            _sample_view_codes(t, pv, vec, cols, {i: SeededRng(seed, (idx, i)) for i in t.vertices}, samples)
             for idx, vec in enumerate((sv, sw))
         )
-        hists = (Histogram(*_count(_encode(v, pv, (samples,)), pv**width), pv, width) for v in views)
+        hists = (Histogram(*_count(codes, pv**width), pv, width) for codes in views)
         stat, adjusted = _two_sample_chi_square(*hists)
         details["binning"] = "full_view"
     else:

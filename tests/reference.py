@@ -16,15 +16,15 @@ incidence-matrix product (`reference_view_rows`), counts them with
 before it counted views one edge at a time, and
 `reference_marginal_bins` bins sampled view keys one key at a time, as the
 audits did before they worked on mixed-radix codes and columns
-(`reference_view_keys` reads the audit's view columns as those keys), and
-`reference_two_sample_chi_square` builds its table from dicts one outcome
-at a time, as the sampled audit did before it aligned two `Histogram`s'
-code arrays; `reference_histogram_csv` formats `histogram.csv` from
+(`reference_view_keys` decodes the audit's view codes into those keys by
+`divmod`), and `reference_two_sample_chi_square` builds its table from
+dicts one outcome at a time, as the sampled audit did before it aligned two
+`Histogram`s' code arrays; `reference_histogram_csv` formats `histogram.csv` from
 decoded, re-sorted outcome tuples. The fast paths in
 `privavg` must reproduce them byte for byte. `histogram_from_counts` turns a
 {outcome: count} dict into the `Histogram` the audits build, its codes
-folded from the outcome tuples in plain Python, so the reference shares no
-encoder or counter with the code it checks.
+folded from the outcome tuples in plain Python (`reference_code`), so the
+reference shares no encoder or counter with the code it checks.
 """
 from __future__ import annotations
 
@@ -350,19 +350,20 @@ def reference_view_rows(
     return np.concatenate([eff, b[:, cols]], axis=1) if cols else eff
 
 
+def reference_code(outcome: Sequence[int], p: int) -> int:
+    """An outcome's digits folded base p in Python ints, the first most significant."""
+    code = 0
+    for digit in outcome:
+        code = code * p + digit
+    return code
+
+
 def histogram_from_counts(counts: Mapping[tuple, int], p: int, width: int) -> Histogram:
     """The `Histogram` of an {outcome: count} dict of residues mod p: each
     outcome's digits folded base p, the first most significant, in Python
     ints, then sorted; outcomes counted 0 times are left out. `width` is the
     outcome length, which an empty dict cannot show."""
-    coded = []
-    for outcome, count in counts.items():
-        code = 0
-        for digit in outcome:
-            code = code * p + digit
-        if count:
-            coded.append((code, count))
-    coded.sort()
+    coded = sorted((reference_code(outcome, p), count) for outcome, count in counts.items() if count)
     codes = np.array([code for code, _ in coded], dtype=np.int64 if p**width < 2**63 else object)
     return Histogram(codes, np.array([count for _, count in coded], dtype=np.int64), p, width)
 
@@ -395,9 +396,20 @@ def reference_enumerate_views(
     return histogram_from_counts(counts, p, t.n + len(cols))
 
 
-def reference_view_keys(columns: Sequence[np.ndarray], p: int) -> list[tuple[int, ...]]:
-    """View columns, unreduced, as one key tuple of residues mod p per entry."""
-    return list(zip(*([x % p for x in column.tolist()] for column in columns)))
+def reference_view_keys(codes: np.ndarray, p: int, width: int) -> list[tuple[int, ...]]:
+    """View codes as key tuples of `width` residues mod p, the first most
+    significant, each digit split off by `divmod` in Python ints; a code
+    outside [0, p^width) is an error."""
+    keys = []
+    for code in codes.tolist():
+        digits = []
+        for _ in range(width):
+            code, digit = divmod(code, p)
+            digits.append(digit)
+        if code:
+            raise ValueError(f"view code outside [0, {p}^{width})")
+        keys.append(tuple(reversed(digits)))
+    return keys
 
 
 def reference_marginal_bins(

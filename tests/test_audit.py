@@ -23,7 +23,7 @@ from privavg.audit import (
     histogram_csv,
     sampled_view_test,
     _mask_uniformity_verdict,
-    _sample_view_columns,
+    _sample_view_codes,
 )
 from privavg.consensus import short_text
 from privavg.masking import ProtocolParams, build_states, edge_differences, exchange_shares
@@ -460,7 +460,7 @@ def test_sampled_view_needs_enough_samples():
 def test_sampler_draws_match_the_share_exchange_machinery():
     # pre-draw the exact shares the sampler will use, push them through the
     # real agent state machines, and compare the resulting view key; the
-    # second modulus is past int64, where the view rows hold Python ints
+    # second modulus is past int64, where the view codes are Python ints
     for p in (30, 2**64 - 59):
         t = triangle()
         params = ProtocolParams(n=3, q=10, p=Modulus(p))
@@ -482,7 +482,7 @@ def test_sampler_draws_match_the_share_exchange_machinery():
 
         rngs = {i: SeededRng(seed, (vec_idx, i)) for i in t.vertices}
         cols = [k for k, (i, j) in enumerate(t.edges) if 3 in (i, j)]
-        keys = reference_view_keys(_sample_view_columns(t, p, s, cols, rngs, samples=1), p)
+        keys = reference_view_keys(_sample_view_codes(t, p, s, cols, rngs, samples=1), p, 3 + len(cols))
         assert keys == [expected]
 
 

@@ -454,7 +454,8 @@ def test_budget_below_one_exits_two_naming_line(tmp_path, capsys, budget):
 
 
 def test_budget_past_int64_codes_exits_one_naming_size(tmp_path, capsys):
-    # a budget of 10^23 admits p = 2^64-59 on one edge, which int64 codes cannot index
+    # a budget of 10^23 admits p = 2^64-59 on one edge, whose p tallied views
+    # would sum past what int64 tallies hold
     p = 2**64 - 59
     cfg = tmp_path / "huge.cfg"
     cfg.write_text(BUDGET_CFG.format(p=p, edges="1,2", budget=10**23))

@@ -17,11 +17,10 @@ from privavg.audit import (
     _coalition_edges,
     _count,
     _digits,
-    _encode,
     _mask_uniformity_verdict,
     _row_tuples,
     _sample_marginals,
-    _sample_view_columns,
+    _sample_view_codes,
     _two_sample_chi_square,
     chi2_contingency,
     enumerate_mask_distribution,
@@ -48,6 +47,7 @@ from privavg.topology import Topology
 from conftest import path3, random_connected_topology, ten_node_three_separators
 from reference import (
     histogram_from_counts,
+    reference_code,
     reference_delivery_schedule,
     reference_enumerate_views,
     reference_marginal_bins,
@@ -552,13 +552,20 @@ def _view_key_cases():
 
 @pytest.mark.parametrize("p", [2, 30, 2**64 - 59])
 def test_sample_view_keys_match_the_per_sample_loop(p):
+    # besides the shared cases: an edgeless graph, whose codes fold no edge
+    # (Python ints at p = 2^64 - 59), and 40 vertices with three edges, whose
+    # codes pass 2^63 at p = 30 and 2^64 - 59 but stay int64 at p = 2
     rnd = random.Random(p % 1000)
-    for t, members in _view_key_cases():
+    wide = Topology(40, [(1, 2), (2, 3), (3, 4)])
+    for t, members in _view_key_cases() + [(Topology(2, []), frozenset({1})), (wide, frozenset({2}))]:
         s = tuple(rnd.randrange(p) for _ in range(t.n))
         cols = [k for k, (i, j) in enumerate(t.edges) if i in members or j in members]
+        width = t.n + len(cols)
         fast_rngs = {i: SeededRng(7, (0, i)) for i in t.vertices}
         slow_rngs = {i: SeededRng(7, (0, i)) for i in t.vertices}
-        fast = reference_view_keys(_sample_view_columns(t, p, s, cols, fast_rngs, samples=40), p)
+        codes = _sample_view_codes(t, p, s, cols, fast_rngs, samples=40)
+        assert (codes.dtype == object) == (p**width >= 2**63)
+        fast = reference_view_keys(codes, p, width)
         slow = reference_sample_view_keys(t, p, s, cols, slow_rngs, samples=40)
         assert fast == slow
         assert all(type(x) is int for key in fast for x in key)
@@ -574,8 +581,8 @@ def test_count_rows_codes_sort_as_row_tuples(p):
     for width in sorted({1, 2, limit - 1, limit, limit + 1} - {0}):
         values = [rnd.randrange(p), p - 1, 0] if p > 3 else list(range(p))
         keys = [tuple(rnd.choice(values) for _ in range(width)) for _ in range(200)]
-        rows = np.array(keys, dtype=np.int64 if p < 2**63 else object)
-        codes, counts = _count(_encode(list(rows.T), p, (len(rows),)), p**width)
+        folded = [reference_code(key, p) for key in keys]
+        codes, counts = _count(np.array(folded, dtype=np.int64 if p**width < 2**63 else object), p**width)
         assert codes.dtype == (np.int64 if p**width < 2**63 else object)
         assert codes.tolist() == sorted(codes.tolist())
         decoded = list(_row_tuples(_digits(codes, p, width)[:, ::-1]))
@@ -600,13 +607,13 @@ def _full_view_cases():
 def test_full_view_chi_square_matches_tuple_bins():
     for k, (t, members, s, s_prime, p) in enumerate(_full_view_cases()):
         cols = _coalition_edges(t, members)
-        views = [
-            _sample_view_columns(t, p, vec, cols, {i: SeededRng(k, (idx, i)) for i in t.vertices}, 2000)
-            for idx, vec in enumerate((s, s_prime))
-        ]
         width = t.n + len(cols)
-        fast = [Histogram(*_count(_encode(v, p, (2000,)), p**width), p, width) for v in views]
-        slow = [Counter(reference_view_keys(v, p)) for v in views]
+        fast, slow = [], []
+        for idx, vec in enumerate((s, s_prime)):
+            fast_rngs, slow_rngs = ({i: SeededRng(k, (idx, i)) for i in t.vertices} for _ in range(2))
+            codes = _sample_view_codes(t, p, vec, cols, fast_rngs, 2000)
+            fast.append(Histogram(*_count(codes, p**width), p, width))
+            slow.append(Counter(reference_sample_view_keys(t, p, vec, cols, slow_rngs, 2000)))
         assert (fast[0].codes.dtype == object) == (t.n == 40)
         assert fast == slow
         assert _two_sample_chi_square(*fast) == reference_two_sample_chi_square(*slow)
@@ -693,7 +700,7 @@ def test_enumeration_matches_row_sort_on_every_small_graph(p):
                     assert all(type(c) is int for c in fast.counts.values())
 
 
-def test_enumeration_matches_row_sort_across_chunks():
+def test_enumeration_matches_row_sort_on_the_largest_space():
     # K5 at p = 3: 3^10 = 59,049 edge-difference vectors, the most of any
     # enumeration in these tests
     t = Topology(5, list(itertools.combinations(range(1, 6), 2)))
@@ -705,7 +712,7 @@ def test_enumeration_matches_row_sort_across_chunks():
     assert set(mask.counts.values()) == {3**6} and len(mask.counts) == 3**4
 
 
-def test_enumeration_merges_interleaved_codes_across_chunks():
+def test_enumeration_sorts_codes_shifted_out_of_order():
     # one edge at p = 40,009: p distinct views, whose digits wrap around mod p
     # at different b, so their codes are made out of order
     p = 40009
@@ -758,7 +765,7 @@ def _reference_chunks(monkeypatch, chunk: int) -> list[int]:
 
 
 @pytest.mark.parametrize("chunk", [4, 8, 10, 30])
-def test_enumeration_matches_row_sort_with_small_chunks(monkeypatch, chunk):
+def test_enumeration_matches_row_sort_counted_a_few_rows_at_a_time(monkeypatch, chunk):
     # The fold against the reference walking its rows `chunk` at a time, so
     # each outcome's count is merged over many chunks of the row sort: several
     # edges at small p, and codes past 2^63 (40 vertices); coalitions none,
@@ -796,7 +803,7 @@ def test_enumeration_memory_follows_the_support():
     assert peak < 256 * 1024
 
 
-def test_enumeration_refuses_spaces_int64_codes_cannot_index():
+def test_enumeration_refuses_spaces_int64_tallies_cannot_sum():
     with pytest.raises(EnumerationBudgetError, match="2\\^63"):
         enumerate_mask_distribution(Topology(2, [(1, 2)]), 2**64 - 59, budget=10**23)
     with pytest.raises(EnumerationBudgetError, match=str(2**63)):
@@ -819,7 +826,7 @@ def test_marginal_bins_match_the_per_key_counters(p):
     # sorted. The reference bins views drawn from every agent's stream; the
     # sampler gets the streams of C ∪ N(C) alone, so touching any other is a
     # KeyError (an empty coalition gets none), and each one it gets must end
-    # where the whole-view sampler leaves it.
+    # where the reference's per-sample loop leaves it.
     rnd = random.Random(p % 997)
     for t, members in _view_key_cases():
         s = tuple(rnd.randrange(p) for _ in range(t.n))
@@ -827,9 +834,9 @@ def test_marginal_bins_match_the_per_key_counters(p):
         honest = [i for i in t.vertices if i not in members]
         every = {i: SeededRng(11, (1, i)) for i in t.vertices}
         drawn = {i: SeededRng(11, (1, i)) for i in _neighborhood(t, members)}
-        views = _sample_view_columns(t, p, s, cols, every, samples=300)
+        keys = reference_sample_view_keys(t, p, s, cols, every, samples=300)
         fast = _by_value(_sample_marginals(t, p, s, members, cols, drawn, samples=300))
-        slow = reference_marginal_bins(reference_view_keys(views, p), p, honest, len(cols))
+        slow = reference_marginal_bins(keys, p, honest, len(cols))
         assert fast == slow
         assert all(type(v) is int and type(c) is int for b in fast for v, c in b.items())
         for i, rng in drawn.items():
@@ -842,33 +849,35 @@ def test_marginal_chi_square_matches_the_per_key_tables():
     p, members = 30, frozenset({2})
     pairs = list(enumerate(((1, 0, 2), (2, 0, 1))))
     views = [
-        _sample_view_columns(path3(), p, vec, [0, 1], {i: SeededRng(4, (idx, i)) for i in (1, 2, 3)}, 3000)
+        reference_sample_view_keys(path3(), p, vec, [0, 1], {i: SeededRng(4, (idx, i)) for i in (1, 2, 3)}, 3000)
         for idx, vec in pairs
     ]
     fast = [
         _sample_marginals(path3(), p, vec, members, [0, 1], {i: SeededRng(4, (idx, i)) for i in (1, 2, 3)}, 3000)
         for idx, vec in pairs
     ]
-    slow = [reference_marginal_bins(reference_view_keys(v, p), p, [1, 3], 2) for v in views]
+    slow = [reference_marginal_bins(keys, p, [1, 3], 2) for keys in views]
     for a, b, ref_a, ref_b in zip(*fast, *slow):
         assert _two_sample_chi_square(a, b) == reference_two_sample_chi_square(ref_a, ref_b)
 
 
 def test_marginal_honest_sum_past_int64():
-    # int64 columns (p·(|E|+1) < 2^63); the four isolated agents alone sum past
-    # 2^63, so the honest sum of the inputs is reduced mod p before the edges'
-    # differences are added to it
+    # int64 sums (the marginal sampler's rule p·(|C's edges|+1) < 2^63); the
+    # four isolated agents alone sum past 2^63, so the honest sum of the
+    # inputs is reduced mod p before the edges' differences are added to it
     p = 2**62 - 57
     t = Topology(6, [(1, 2)])
     s = tuple(p - k for k in range(1, 7))
     for members in [frozenset(), frozenset({1})]:
         cols = _coalition_edges(t, members)
         honest = [i for i in t.vertices if i not in members]
-        views = _sample_view_columns(t, p, s, cols, {i: SeededRng(3, (0, i)) for i in t.vertices}, samples=50)
-        assert all(column.dtype == np.int64 for column in views)
+        every = {i: SeededRng(3, (0, i)) for i in t.vertices}
+        keys = reference_sample_view_keys(t, p, s, cols, every, samples=50)
         drawn = {i: SeededRng(3, (0, i)) for i in _neighborhood(t, members)}
-        fast = _by_value(_sample_marginals(t, p, s, members, cols, drawn, samples=50))
-        assert fast == reference_marginal_bins(reference_view_keys(views, p), p, honest, len(cols))
+        marginals = _sample_marginals(t, p, s, members, cols, drawn, samples=50)
+        assert all(h.codes.dtype == np.int64 for h in marginals)
+        fast = _by_value(marginals)
+        assert fast == reference_marginal_bins(keys, p, honest, len(cols))
         if not members:
             assert fast == [{sum(s) % p: 50}]
 

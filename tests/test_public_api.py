@@ -1,5 +1,6 @@
 """The package's public names are the README's list, the demos use no others,
-and every function the benchmark tracer wraps exists and sees a run's work."""
+every private helper has a caller in the package, and every function the
+benchmark tracer wraps exists and sees a run's work."""
 from __future__ import annotations
 
 import ast
@@ -7,6 +8,7 @@ import importlib
 import importlib.util
 import re
 from pathlib import Path
+from typing import Iterator
 
 import privavg
 import privavg.simnet
@@ -14,6 +16,7 @@ from privavg import AdversarySpec, ConsensusAlgo, ProtocolParams, Topology
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text()
+PACKAGE = ROOT / "src" / "privavg"
 
 
 def _tracing():
@@ -127,3 +130,43 @@ def test_benchmark_tracer_decodes_no_histogram_of_an_audit(monkeypatch):
     # two view histograms of equal support, then the masks
     assert metrics["audit.support"] == 2 * verdict.details["support_size"] + len(masks) > 0
     assert not decodes and all(h._decoded is None for h in made)
+
+
+def _private_definitions(tree: ast.Module) -> Iterator[tuple[str, ast.stmt]]:
+    # module-level functions, classes and constants named `_x` (not dunders)
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [target.id for target in node.targets if isinstance(target, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        yield from ((name, node) for name in names if name.startswith("_") and not name.startswith("__"))
+
+
+def _referenced_names(tree: ast.AST) -> Iterator[str]:
+    # every name read, attribute taken or name imported inside `tree`
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_every_private_helper_has_a_caller_in_the_package():
+    # a private helper that only tests call is dead code kept alive for them;
+    # each one must be used somewhere in the package outside its own definition
+    modules = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in PACKAGE.glob("*.py")}
+    assert "audit.py" in modules
+    uses = [(statement, set(_referenced_names(statement))) for tree in modules.values() for statement in tree.body]
+    unused = [
+        f"{name}: {helper}"
+        for name, tree in modules.items()
+        for helper, definition in _private_definitions(tree)
+        if not any(helper in names for statement, names in uses if statement is not definition)
+    ]
+    assert not unused
