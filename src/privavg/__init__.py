@@ -8,18 +8,12 @@ simulator with a passive-adversary recorder, and enumeration/statistical
 audits of the privacy claims.
 
 The names below are the public API, the list in the README; everything else
-is reachable through its module.
+is reachable through its module. The names of `audit` and `simnet` resolve
+on first access, so that importing the package loads neither numpy nor the
+simulator.
 """
-from .audit import (
-    AuditVerdict,
-    EnumerationBudgetError,
-    check_effective_input_uniformity,
-    check_group_privacy,
-    check_mask_uniformity,
-    check_view_indistinguishability,
-    enumerate_mask_distribution,
-    sampled_view_test,
-)
+import importlib
+
 from .consensus import ConsensusAlgo, ConvergenceError, InvariantError, RoundingError
 from .masking import (
     AdversarySpec,
@@ -30,7 +24,6 @@ from .masking import (
     exchange_shares,
 )
 from .residues import Modulus, ModulusMismatchError, Residue, SeededRng
-from .simnet import RunReport, simulate
 from .topology import (
     Topology,
     connected_components,
@@ -74,3 +67,29 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+# public names whose modules load numpy or the simulator: imported on first access
+_LAZY = {
+    "AuditVerdict": "audit",
+    "EnumerationBudgetError": "audit",
+    "check_effective_input_uniformity": "audit",
+    "check_group_privacy": "audit",
+    "check_mask_uniformity": "audit",
+    "check_view_indistinguishability": "audit",
+    "enumerate_mask_distribution": "audit",
+    "sampled_view_test": "audit",
+    "RunReport": "simnet",
+    "simulate": "simnet",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY))

@@ -40,7 +40,7 @@ import numpy as np
 
 from .masking import AdversarySpec
 from .residues import Modulus, SeededRng
-from .topology import Topology, _require_vertices, connected_components
+from .topology import DEFAULT_BUDGET, Topology, _require_vertices, connected_components
 
 __all__ = [
     "AuditVerdict",
@@ -56,7 +56,6 @@ __all__ = [
     "sampled_view_test",
 ]
 
-DEFAULT_BUDGET = 10**7
 _FULL_BIN_LIMIT = 10**4
 
 

@@ -4,7 +4,9 @@ Configs are line-oriented `key = value` text under `[section]` headers, kept
 deliberately dumb so fixtures diff cleanly and every complaint can carry a
 line number. Three subcommands: `run` simulates one experiment, `audit`
 evaluates one distribution claim, `graph-check` reports connectivity facts.
-Exit status is 0 only when the requested run or check passed.
+Exit status is 0 only when the requested run or check passed. Each
+subcommand imports the layer it runs when it runs it, so `graph-check`, help
+and config errors never load numpy.
 """
 from __future__ import annotations
 
@@ -18,21 +20,11 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, Optional
 
-from .audit import (
-    DEFAULT_BUDGET,
-    _mask_uniformity_verdict,
-    check_effective_input_uniformity,
-    check_group_privacy,
-    check_view_indistinguishability,
-    enumerate_mask_distribution,
-    histogram_csv,
-    sampled_view_test,
-)
 from .consensus import ConsensusAlgo, number_text, short_text
-from .masking import ProtocolParams
+from .masking import AdversarySpec, ProtocolParams
 from .residues import Modulus
-from .simnet import AdversarySpec, simulate
 from .topology import (
+    DEFAULT_BUDGET,
     MAX_VERTICES,
     Topology,
     _add_edge,
@@ -296,6 +288,8 @@ def _require(cfg_value, what):
 
 def _do_run(cfg: ExperimentConfig, write: bool) -> tuple[int, str, dict[str, str]]:
     """`privavg run`; report.txt and convergence.csv are built only if `write`."""
+    from .simnet import simulate
+
     xs = _require(cfg.inputs, "[inputs] values")
     q2 = _require(cfg.q2, "[experiment] q2")
     s, q, shift = normalize_inputs(xs, cfg.q1, q2)
@@ -327,6 +321,16 @@ def _do_run(cfg: ExperimentConfig, write: bool) -> tuple[int, str, dict[str, str
 
 
 def _do_audit(cfg: ExperimentConfig) -> tuple[int, str, dict[str, str]]:
+    from .audit import (
+        _mask_uniformity_verdict,
+        check_effective_input_uniformity,
+        check_group_privacy,
+        check_view_indistinguishability,
+        enumerate_mask_distribution,
+        histogram_csv,
+        sampled_view_test,
+    )
+
     claim = _require(cfg.audit_claim, "[audit] claim")
     p = _require(cfg.p, "[experiment] p")
     t = cfg.topology
@@ -355,8 +359,8 @@ def _do_audit(cfg: ExperimentConfig) -> tuple[int, str, dict[str, str]]:
             verdict = sampled_view_test(
                 t, p, adversary, s, s_prime, samples, alpha=cfg.alpha, seed=cfg.seed
             )
-    files["verdict.txt"] = verdict.to_text()
-    return (0 if verdict.passed else 1), verdict.to_text(), files
+    files["verdict.txt"] = text = verdict.to_text()
+    return (0 if verdict.passed else 1), text, files
 
 
 def _do_graph_check(cfg: ExperimentConfig) -> tuple[int, str, dict[str, str]]:

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Modulus",
@@ -139,6 +140,8 @@ class SeededRng:
         key = (stream,) if isinstance(stream, int) else tuple(stream)
         self.seed = seed
         self.stream = key if len(key) != 1 else key[0]
+        import numpy as np  # on the first stream, not on `import privavg`
+
         self._bitgen = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key))
         self._raw = self._bitgen.random_raw
         self._words: list[int] = []  # buffered words, the next one last
@@ -173,6 +176,8 @@ class SeededRng:
                 raise TypeError(f"{name} must be an int, got {type(value).__name__}")
         if k < 0:
             raise ValueError(f"k must be non-negative, got {k}")
+        import numpy as np
+
         mask = _range_mask(n)
         if not mask or not k:
             return np.zeros(k, dtype=np.uint64)

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import itertools
 import reprlib
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Topology",
@@ -27,6 +28,9 @@ __all__ = [
 _BRUTE_FORCE_LIMIT = 20  # subset enumeration below is exponential in n
 # the largest vertex count read from text; a Topology builds one set per vertex
 MAX_VERTICES = 10**5
+# the most b-vectors, p^|E| of them, that an exact audit enumerates by default;
+# held here, beside the other size cap, so that reading it loads no audit code
+DEFAULT_BUDGET = 10**7
 
 
 class Topology:
@@ -163,6 +167,8 @@ def vertex_connectivity(t: Topology) -> int:
 def incidence_matrix(t: Topology) -> np.ndarray:
     """Signed node-by-edge incidence, shape (n, |E|), int8: +1 at each edge's
     low endpoint, -1 at its high one; columns follow `t.edges`."""
+    import numpy as np  # only here, so that graph checks never load it
+
     m = np.zeros((t.n, len(t.edges)), dtype=np.int8)
     for col, (i, j) in enumerate(t.edges):
         m[i - 1, col] = 1

@@ -646,7 +646,7 @@ def test_out_of_memory_exits_one_with_one_line(tmp_path, capsys, monkeypatch, er
         raise error
 
     # a real allocation of that size may or may not fail at once, by the host's overcommit policy
-    monkeypatch.setattr("privavg.cli.sampled_view_test", run_out)
+    monkeypatch.setattr("privavg.audit.sampled_view_test", run_out)
     cfg = tmp_path / "huge.cfg"
     cfg.write_text(LEAK_CFG.format(samples=10**12, alpha=""))
     assert main(["audit", "--config", str(cfg)]) == 1

@@ -88,18 +88,20 @@ def test_report_missing_field_is_value_error():
 
 
 def test_import_does_not_load_scipy():
+    # nor numpy, nor the audit and simulator layers: each subcommand loads its own
     proc = _python(
         "-c",
         "import sys, privavg, privavg.cli; "
-        "print(sorted(k for k in sys.modules if k == 'scipy' or k.startswith('scipy.')))",
+        "print(sorted(k for k in sys.modules if k == 'scipy' or k.startswith('scipy.')), "
+        "sorted({'numpy', 'privavg.audit', 'privavg.simnet'} & set(sys.modules)))",
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.strip() == "[] []"
 
 
 def test_audit_does_not_import_the_simulator():
-    # the package imports every module for its public names, so this stands
-    # the package in without running its __init__ to see what audit pulls in
+    # the package imports consensus for its public names, so this stands the
+    # package in without running its __init__ to see what audit pulls in
     proc = _python(
         "-c",
         "import sys, types; "
@@ -114,6 +116,63 @@ def test_audit_does_not_import_the_simulator():
     assert "privavg.audit" in loaded and "privavg.masking" in loaded
     assert "privavg.simnet" not in loaded and "privavg.consensus" not in loaded
     assert privavg.AdversarySpec is privavg.simnet.AdversarySpec is privavg.masking.AdversarySpec
+
+
+EXACT_CFG = """\
+[experiment]
+seed = 3
+p = 7
+q1 = 0
+q2 = 2
+
+[topology]
+n = 3
+edges = 1,2 2,3 1,3
+
+[inputs]
+values = 1 0 2
+
+[adversary]
+members = 2
+
+[audit]
+claim = view-identity
+s_prime = 2 0 1
+"""
+
+
+@pytest.mark.parametrize(
+    "code, status, unloaded",
+    [
+        ("status = main(['graph-check', '--config', CFG])", 0, ("numpy", "scipy")),
+        ("try:\n    main(['--help'])\nexcept SystemExit as exc:\n    status = exc.code", 0, ("numpy",)),
+        ("status = main(['audit', '--config', CFG, '--seed', 'x'])", 2, ("numpy",)),
+        ("status = main(['run', '--config', CFG, '--out', OUT])", 0, ("privavg.audit", "scipy")),
+        ("status = main(['audit', '--config', CFG])", 0, ("privavg.simnet",)),
+        (
+            "import privavg\n"
+            "status = set(privavg.__all__) <= set(dir(privavg))\n"
+            "exec(f'from privavg import {\", \".join(privavg.__all__)}')",
+            True,
+            (),
+        ),
+    ],
+    ids=["graph-check", "help", "config-error", "run", "exact-audit", "public-names"],
+)
+def test_each_command_loads_only_the_layers_it_runs(tmp_path, code, status, unloaded):
+    # test_public_api holds privavg.__all__ to the README's list
+    cfg = tmp_path / "exact.cfg"
+    cfg.write_text(EXACT_CFG)
+    proc = _python(
+        "-c",
+        "import sys\n"
+        "from privavg.cli import main\n"
+        f"CFG, OUT = {str(cfg)!r}, {str(tmp_path / 'out')!r}\n"
+        f"{code}\n"
+        f"print(status, [m for m in {unloaded!r} if m in sys.modules])",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"{status} []"
 
 
 SAMPLED_CFG = """\

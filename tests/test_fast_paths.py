@@ -27,8 +27,8 @@ from privavg.audit import (
     enumerate_view_distribution,
     histogram_csv,
 )
-import privavg.cli
 import privavg.consensus
+import privavg.simnet
 import reference
 from privavg.cli import parse_config, run_experiment
 from privavg.consensus import (
@@ -393,7 +393,7 @@ def test_gossip_trace_keeps_and_formats_one_run_per_value(monkeypatch):
         reports.append(simulate(*args, **kwargs))
         return reports[-1]
 
-    monkeypatch.setattr(privavg.cli, "simulate", keep)
+    monkeypatch.setattr(privavg.simnet, "simulate", keep)  # `run` imports it on each call
     cfg = parse_config(RING30_GOSSIP_CFG)
     status, _, files = run_experiment(cfg, "run")
     assert status == 0
